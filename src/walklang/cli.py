@@ -35,13 +35,6 @@ from .walk import (
     vertex_probability,
 )
 
-_FAMILY_LANGUAGE = {
-    "spatial-eq": "eq",
-    "spatial-ab": "ab",
-    "seq-ab": "ab",
-    "seq-eq": "eq",
-}
-
 MAX_SWEEP_LEN = 16
 
 
@@ -60,7 +53,6 @@ def _clamp(p: float) -> float:
 def run_sweep(family: str, max_len: int, out_path: Path) -> None:
     if max_len < 1 or max_len > MAX_SWEEP_LEN:
         raise ValueError(f"--max-len must be in 1..{MAX_SWEEP_LEN}, got {max_len}")
-    language = _FAMILY_LANGUAGE[family]
     lines = ["index,word,acceptance,jaro\n"]
     cache: dict[int, machines.Machine] = {}
     for index, word in enumerate(encoding.enumerate_words(max_len), start=1):
@@ -71,7 +63,9 @@ def run_sweep(family: str, max_len: int, out_path: Path) -> None:
         if n < 2:
             score = 0.0
         else:
-            score = metrics.jaro(word, metrics.reference_word(language, n)).distance
+            # odd lengths compare against the member one symbol shorter
+            reference = machines.member_word(family, n - n % 2)
+            score = metrics.jaro(word, reference).distance
         lines.append(f"{index},{word},{_fmt(acceptance)},{_fmt(score)}\n")
     out_path.write_text("".join(lines), newline="\n")
 
@@ -96,8 +90,8 @@ def run_qinput(base: str, family: str, eta_points: int, out_path: Path) -> None:
         f"# eta-grid=amplitude-linear points={eta_points}\n",
         "w2,eta,fidelity,match_count\n",
     ]
-    for w2 in encoding.enumerate_words(n):
-        if len(w2) != n or w2 == base:
+    for w2 in encoding.words_of_length(n):
+        if w2 == base:
             continue
         match_count = sum(1 for x, y in zip(base, w2) if x == y)
         for eta in etas:
@@ -246,8 +240,7 @@ def run_verify(
             n = 2 * pairs
             machine = machines.machine_for_length(family, n)
             member = machines.member_word(family, n)
-            for bits in range(2 ** n):
-                word = "".join("ab"[(bits >> (n - 1 - k)) & 1] for k in range(n))
+            for word in encoding.words_of_length(n):
                 state = encoding.initial_state(machine, word)
                 verdict = machines.classify(machine, state, cutpoint, margin).verdict
                 checked += 1

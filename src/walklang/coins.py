@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "NonUnitaryError",
     "unitarity_defect",
+    "check_unitary",
     "hadamard",
     "grover",
     "pauli_x",
@@ -47,6 +48,17 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(d))))
 
 
+def check_unitary(matrix: np.ndarray, context: str) -> None:
+    """Raise :class:`NonUnitaryError` unless ``matrix`` is unitary within 1e-12.
+
+    The comparison is written so that a NaN defect (from NaN entries)
+    fails it, as does an infinite one.
+    """
+    defect = unitarity_defect(matrix)
+    if not defect <= UNITARY_TOL:
+        raise NonUnitaryError(defect, context)
+
+
 def hadamard() -> np.ndarray:
     """2x2 Hadamard coin, (1/sqrt 2) [[1, 1], [1, -1]]."""
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
@@ -77,10 +89,8 @@ def identity(d: int) -> np.ndarray:
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two unitaries (e.g. pauli_x x hadamard)."""
-    for name, m in (("left", a), ("right", b)):
-        defect = unitarity_defect(m)
-        if defect > UNITARY_TOL:
-            raise NonUnitaryError(defect, f"{name} factor")
+    check_unitary(a, "left factor")
+    check_unitary(b, "right factor")
     return np.kron(
         np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     )
@@ -98,14 +108,12 @@ def permutation(perm: Sequence[int]) -> np.ndarray:
     return m
 
 
-def custom(matrix: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def custom(matrix: np.ndarray) -> np.ndarray:
     """Validate a user-supplied coin and return it as complex128.
 
     Raises :class:`NonUnitaryError` carrying the measured defect when the
-    matrix is not unitary within ``tol``.
+    matrix is not unitary (see :func:`check_unitary`).
     """
     m = np.array(matrix, dtype=np.complex128, copy=True)
-    defect = unitarity_defect(m)
-    if defect > tol:
-        raise NonUnitaryError(defect, "custom coin")
+    check_unitary(m, "custom coin")
     return m

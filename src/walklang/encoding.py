@@ -18,6 +18,7 @@ word's slot gets ``alpha * eta`` and the second word's slot gets
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -27,6 +28,7 @@ from .walk import WalkState
 __all__ = [
     "ALPHABET",
     "check_word",
+    "words_of_length",
     "enumerate_words",
     "QuantumInput",
     "spatial_initial_state",
@@ -47,15 +49,19 @@ def check_word(word: str) -> str:
     return word
 
 
+def words_of_length(n: int) -> list[str]:
+    """All ``2**n`` words of length n in lexicographic order (a < b)."""
+    if n < 1:
+        raise ValueError(f"word length must be >= 1, got {n}")
+    return ["".join(symbols) for symbols in product(ALPHABET, repeat=n)]
+
+
 def enumerate_words(max_len: int) -> Iterator[str]:
     """All words up to ``max_len``, shortest first, then lexicographic (a < b)."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     for length in range(1, max_len + 1):
-        for bits in range(2 ** length):
-            yield "".join(
-                ALPHABET[(bits >> (length - 1 - k)) & 1] for k in range(length)
-            )
+        yield from words_of_length(length)
 
 
 @dataclass(frozen=True)
@@ -78,16 +84,8 @@ class QuantumInput:
             raise ValueError(
                 f"words must have equal length, got {len(self.w1)} and {len(self.w2)}"
             )
-        if abs(self.eta) > 1 + 1e-12:
+        if not abs(self.eta) <= 1 + 1e-12:
             raise ValueError(f"|eta| must be <= 1, got {abs(self.eta)}")
-
-
-def _check_length(machine, word: str) -> None:
-    if len(word) != machine.word_length:
-        raise ValueError(
-            f"machine expects words of length {machine.word_length}, "
-            f"got {len(word)}"
-        )
 
 
 def spatial_initial_state(machine, word: str) -> WalkState:
@@ -98,37 +96,24 @@ def spatial_initial_state(machine, word: str) -> WalkState:
     """
     if machine.kind != "spatial":
         raise ValueError(f"machine kind is {machine.kind!r}, expected 'spatial'")
-    check_word(word)
-    _check_length(machine, word)
-    n = len(word)
-    alpha = 1.0 / np.sqrt(n)
-    amps = np.zeros(machine.graph.num_ports, dtype=np.complex128)
-    for k, symbol in enumerate(word):
-        ia, ib = machine.symbol_state_indices(k)
-        amps[ia if symbol == "a" else ib] = alpha
-    return WalkState(machine.graph, amps)
+    return initial_state(machine, word)
 
 
 def sequential_initial_state(machine, word: str) -> WalkState:
     """Load a word along the input chain of a sequential machine."""
     if machine.kind != "sequential":
         raise ValueError(f"machine kind is {machine.kind!r}, expected 'sequential'")
-    check_word(word)
-    _check_length(machine, word)
-    n = len(word)
-    alpha = 1.0 / np.sqrt(n)
-    amps = np.zeros(machine.graph.num_ports, dtype=np.complex128)
-    for k, symbol in enumerate(word):
-        ia, ib = machine.symbol_state_indices(k)
-        amps[ia if symbol == "a" else ib] = alpha
-    return WalkState(machine.graph, amps)
+    return initial_state(machine, word)
 
 
 def initial_state(machine, word: str) -> WalkState:
-    """Dispatch to the spatial or sequential encoder by machine kind."""
-    if machine.kind == "spatial":
-        return spatial_initial_state(machine, word)
-    return sequential_initial_state(machine, word)
+    """Load a classical word on either machine kind.
+
+    This is the eta = 1 case of :func:`quantum_initial_state`, where every
+    position is loaded classically.
+    """
+    check_word(word)
+    return _load(machine, word, word, 1.0)
 
 
 def quantum_initial_state(machine, qinput: QuantumInput) -> WalkState:
@@ -138,13 +123,20 @@ def quantum_initial_state(machine, qinput: QuantumInput) -> WalkState:
     their ``1/sqrt(n)`` amplitude between the two words' slots in the
     ratio eta to sqrt(1 - |eta|^2).
     """
-    _check_length(machine, qinput.w1)
-    n = len(qinput.w1)
+    return _load(machine, qinput.w1, qinput.w2, complex(qinput.eta))
+
+
+def _load(machine, w1: str, w2: str, eta: complex) -> WalkState:
+    """The one input encoder, through the machine's a-slot/b-slot indices."""
+    n = len(w1)
+    if n != machine.word_length:
+        raise ValueError(
+            f"machine expects words of length {machine.word_length}, got {n}"
+        )
     alpha = 1.0 / np.sqrt(n)
-    eta = complex(qinput.eta)
     residual = np.sqrt(max(0.0, 1.0 - abs(eta) ** 2))
     amps = np.zeros(machine.graph.num_ports, dtype=np.complex128)
-    for k, (s1, s2) in enumerate(zip(qinput.w1, qinput.w2)):
+    for k, (s1, s2) in enumerate(zip(w1, w2)):
         ia, ib = machine.symbol_state_indices(k)
         i1 = ia if s1 == "a" else ib
         if s1 == s2:

@@ -16,8 +16,6 @@ distinct ports on its vertex, paired with each other.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 __all__ = ["PortGraph"]
@@ -28,7 +26,9 @@ class PortGraph:
 
     Build with :meth:`add_vertex` and :meth:`connect`, then call
     :meth:`freeze` before running walks on it.  Frozen graphs reject
-    further mutation and may be shared freely between threads.
+    further mutation and may be shared freely between threads.  The flat
+    state layout (:meth:`offset`, :meth:`state_index`,
+    :meth:`shift_permutation`) exists only on frozen graphs.
     """
 
     __slots__ = ("_degrees", "_pairing", "_edges", "_frozen", "_offsets", "_shift")
@@ -74,8 +74,15 @@ class PortGraph:
         return cu, cv
 
     def freeze(self) -> "PortGraph":
-        """Lock the graph and precompute the flat state layout."""
+        """Lock the graph and precompute the flat state layout.
+
+        Every vertex must carry at least one port: a port-less vertex has
+        no basis state and cannot be written to the edge-list format.
+        """
         if not self._frozen:
+            for v, d in enumerate(self._degrees):
+                if d == 0:
+                    raise ValueError(f"vertex {v} has no ports")
             self._frozen = True
             offsets = np.zeros(len(self._degrees) + 1, dtype=np.int64)
             np.cumsum(self._degrees, out=offsets[1:])
@@ -123,17 +130,13 @@ class PortGraph:
         except KeyError:
             raise ValueError(f"invalid port ({v}, {c})") from None
 
-    def ports(self, v: int) -> Iterator[tuple[int, int]]:
-        for c in range(self.degree(v)):
-            yield (v, c)
-
     # -- flat state layout ---------------------------------------------------
 
     def offset(self, v: int) -> int:
         """Start of vertex ``v``'s block in the flat amplitude vector."""
-        if self._offsets is not None:
-            return int(self._offsets[v])
-        return sum(self._degrees[:v])
+        if self._offsets is None:
+            raise RuntimeError("graph is not frozen")
+        return int(self._offsets[v])
 
     def state_index(self, v: int, c: int) -> int:
         if not 0 <= c < self.degree(v):
@@ -142,13 +145,9 @@ class PortGraph:
 
     def shift_permutation(self) -> np.ndarray:
         """Self-inverse permutation of flat indices realising the shift."""
-        if self._shift is not None:
-            return self._shift
-        offs = [self.offset(v) for v in self.vertices]
-        shift = np.empty(self.num_ports, dtype=np.int64)
-        for (v, c), (w, d) in self._pairing.items():
-            shift[offs[v] + c] = offs[w] + d
-        return shift
+        if self._shift is None:
+            raise RuntimeError("graph is not frozen")
+        return self._shift
 
     # -- validation ----------------------------------------------------------
 
@@ -184,13 +183,18 @@ class PortGraph:
         """One line per edge, ``u v``, in insertion order.
 
         Port labels are implied by line order, so parsing the output with
-        :meth:`from_edge_lines` reproduces the graph exactly.
+        :meth:`from_edge_lines` reproduces any graph that can be frozen
+        exactly, vertex count included.
         """
         return "".join(f"{u} {v}\n" for u, v in self._edges)
 
     @classmethod
-    def from_edge_lines(cls, text: str, freeze: bool = True) -> "PortGraph":
-        """Parse the edge-list format written by :meth:`to_edge_lines`."""
+    def from_edge_lines(cls, text: str) -> "PortGraph":
+        """Parse the edge-list format written by :meth:`to_edge_lines`.
+
+        The result is frozen.  Vertex ids run from 0 to the largest id in
+        the file, and each of them must appear in some edge.
+        """
         graph = cls()
         pending: list[tuple[int, int]] = []
         max_vertex = -1
@@ -214,9 +218,7 @@ class PortGraph:
         graph.add_vertices(max_vertex + 1)
         for u, v in pending:
             graph.connect(u, v)
-        if freeze:
-            graph.freeze()
-        return graph
+        return graph.freeze()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PortGraph):

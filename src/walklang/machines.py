@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import coins as coinlib
 from . import encoding
 from .graph import PortGraph
+from .metrics import reference_word
 from .walk import CoinAssignment, WalkState, evolve, vertex_probability
 
 __all__ = [
@@ -245,81 +246,49 @@ def _holding_vertex_coin(degree: int) -> np.ndarray:
     return coinlib.identity(1) if degree == 1 else _rotation(degree)
 
 
-def _build_sequential_core(
-    n: int, delay: int, family: str, hold: int
-) -> tuple[PortGraph, list, dict[int, np.ndarray], int, int]:
-    """Chain, delay path, interference vertex and the two holding vertices.
+def _sequential_machine(
+    family: str, chain_coins: list[np.ndarray], middle_coins: list[np.ndarray],
+    wire: Callable, hold: int, steps: int, notes: dict,
+) -> Machine:
+    """Shared frame of every sequential machine.
 
-    Chain vertices have ports [arrive-a, arrive-b, leave-a, leave-b] and a
-    swap-pair coin, so each step moves every symbol one vertex toward the
-    gadget; position 1 sits next to it and exits first.  The a amplitude
-    detours through ``delay`` pass-through vertices while the b amplitude
-    enters the interference vertex directly, so the a part of symbol k
-    meets the b part of symbol k + delay.  Their sum lands on the
-    accepting holder, their difference on the rejecting holder; both
+    Vertex ids: the n chain vertices (input position k is vertex k), the
+    two chain-head stubs, one middle vertex per entry of ``middle_coins``,
+    then the accepting and the rejecting holder.
+
+    Chain vertices have ports [arrive-a, arrive-b, leave-a, leave-b]; the
+    stubs give the far end of the chain its two arriving ports.  Both
     holders park arriving amplitude in a ring of ``hold`` self-loops long
     enough that nothing leaves before measurement.
 
     Connect order: the two chain-head stubs, the chain double links from
-    the far end down (a link then b link), then leave-a to the delay
-    path, the delay path, delay to the interference vertex, leave-b to
-    the interference vertex, its accept edge, its reject edge, then the
-    accept holder's self-loops and the reject holder's self-loops.
-
-    Returns the unfrozen pieces for the family builders to finish.
+    the far end down (a link then b link), then the edges ``wire`` adds
+    (called with the graph, chain vertex 0, the middle vertices and the
+    two holders), then the accepting holder's self-loops and the
+    rejecting holder's self-loops.
     """
-    if n < 1:
-        raise ValueError("sequential machines need word length >= 1")
-    if delay < 1:
-        raise ValueError("delay path needs at least one vertex")
-
+    n = len(chain_coins)
     graph = PortGraph()
     chain = graph.add_vertices(n)
-    stub_a = graph.add_vertex()
-    stub_b = graph.add_vertex()
-    delays = graph.add_vertices(delay)
-    mixer = graph.add_vertex()
+    stubs = graph.add_vertices(2)
+    middle = graph.add_vertices(len(middle_coins))
     accept = graph.add_vertex()
     reject = graph.add_vertex()
 
-    graph.connect(stub_a, chain[n - 1])
-    graph.connect(stub_b, chain[n - 1])
+    for stub in stubs:
+        graph.connect(stub, chain[n - 1])
     for k in range(n - 1, 0, -1):
         graph.connect(chain[k], chain[k - 1])
         graph.connect(chain[k], chain[k - 1])
-    graph.connect(chain[0], delays[0])
-    for i in range(delay - 1):
-        graph.connect(delays[i], delays[i + 1])
-    graph.connect(delays[-1], mixer)
-    graph.connect(chain[0], mixer)
-    graph.connect(mixer, accept)
-    graph.connect(mixer, reject)
-    for _ in range(hold):
-        graph.connect(accept, accept)
-    for _ in range(hold):
-        graph.connect(reject, reject)
+    wire(graph, chain[0], middle, accept, reject)
+    for holder in (accept, reject):
+        for _ in range(hold):
+            graph.connect(holder, holder)
     graph.freeze()
 
-    pass_through = coinlib.tensor(coinlib.pauli_x(), coinlib.identity(2))
-    coin_map: dict[int, np.ndarray] = {v: pass_through for v in chain}
-    coin_map[stub_a] = coinlib.identity(1)
-    coin_map[stub_b] = coinlib.identity(1)
-    for v in delays:
-        coin_map[v] = coinlib.pauli_x()
-    coin_map[mixer] = coinlib.tensor(coinlib.pauli_x(), coinlib.hadamard())
-    coin_map[accept] = _holding_vertex_coin(graph.degree(accept))
-    coin_map[reject] = _holding_vertex_coin(graph.degree(reject))
-
-    return graph, chain, coin_map, accept, reject
-
-
-def _finish_sequential(
-    family: str, n: int, delay: int, steps: int, hold: int, notes: dict
-) -> Machine:
-    graph, chain, coin_map, accept, reject = _build_sequential_core(
-        n, delay, family, hold
-    )
-    coin_set = CoinAssignment(graph, [coin_map[v] for v in graph.vertices])
+    stub = coinlib.identity(1)
+    holders = [_holding_vertex_coin(graph.degree(v)) for v in (accept, reject)]
+    coin_set = CoinAssignment(graph, [*chain_coins, stub, stub, *middle_coins, *holders])
     notes.setdefault("vertex_count", graph.num_vertices)
     notes.setdefault("non_input_vertex_count", graph.num_vertices - n)
     return Machine(
@@ -333,6 +302,41 @@ def _finish_sequential(
         rejecting=frozenset({reject}),
         steps=steps,
         notes=notes,
+    )
+
+
+def _finish_sequential(
+    family: str, n: int, delay: int, steps: int, hold: int, notes: dict
+) -> Machine:
+    """Chain, delay path and interference vertex of the ab and eq machines.
+
+    Every chain vertex has a swap-pair coin, so each step moves every
+    symbol one vertex toward the gadget; position 1 sits next to it and
+    exits first.  The a amplitude detours through ``delay`` pass-through
+    vertices while the b amplitude enters the interference vertex
+    directly, so the a part of symbol k meets the b part of symbol
+    k + delay.  Their sum lands on the accepting holder, their difference
+    on the rejecting holder.
+
+    Middle vertices: the delay path, then the interference vertex.  Its
+    connect order (after the chain): leave-a to the delay path, the delay
+    path, delay to the interference vertex, leave-b to the interference
+    vertex, its accept edge, its reject edge.
+    """
+    def wire(graph, head, middle, accept, reject):
+        path = [head, *middle]  # the delay path, then the interference vertex
+        for u, v in zip(path, path[1:]):
+            graph.connect(u, v)
+        mixer = middle[-1]
+        graph.connect(head, mixer)
+        graph.connect(mixer, accept)
+        graph.connect(mixer, reject)
+
+    pass_through = coinlib.tensor(coinlib.pauli_x(), coinlib.identity(2))
+    mixer_coin = coinlib.tensor(coinlib.pauli_x(), coinlib.hadamard())
+    middle_coins = [coinlib.pauli_x()] * delay + [mixer_coin]
+    return _sequential_machine(
+        family, [pass_through] * n, middle_coins, wire, hold, steps, notes
     )
 
 
@@ -406,68 +410,28 @@ def sequential_word(word: str) -> Machine:
     encoding.check_word(word)
     n = len(word)
 
-    graph = PortGraph()
-    chain = graph.add_vertices(n)
-    stub_a = graph.add_vertex()
-    stub_b = graph.add_vertex()
-    keep_path = graph.add_vertices(2)
-    drop_path = graph.add_vertices(2)
-    accept = graph.add_vertex()
-    reject = graph.add_vertex()
-
-    graph.connect(stub_a, chain[n - 1])
-    graph.connect(stub_b, chain[n - 1])
-    for k in range(n - 1, 0, -1):
-        graph.connect(chain[k], chain[k - 1])
-        graph.connect(chain[k], chain[k - 1])
-    if word[0] == "a":
-        graph.connect(chain[0], keep_path[0])
-        graph.connect(chain[0], drop_path[0])
-    else:
-        graph.connect(chain[0], drop_path[0])
-        graph.connect(chain[0], keep_path[0])
-    graph.connect(keep_path[0], keep_path[1])
-    graph.connect(keep_path[1], accept)
-    graph.connect(drop_path[0], drop_path[1])
-    graph.connect(drop_path[1], reject)
-    hold = n - 1
-    for _ in range(hold):
-        graph.connect(accept, accept)
-    for _ in range(hold):
-        graph.connect(reject, reject)
-    graph.freeze()
+    def wire(graph, head, middle, accept, reject):
+        keep_path, drop_path = middle[:2], middle[2:]
+        # leave-a, then leave-b: the target's first symbol goes to the accepting side
+        rails = [keep_path, drop_path] if word[0] == "a" else [drop_path, keep_path]
+        for rail in rails:
+            graph.connect(head, rail[0])
+        for (first, last), holder in ((keep_path, accept), (drop_path, reject)):
+            graph.connect(first, last)
+            graph.connect(last, holder)
 
     straight = coinlib.tensor(coinlib.pauli_x(), coinlib.identity(2))
     crossed = coinlib.tensor(coinlib.pauli_x(), coinlib.pauli_x())
-    coin_map: dict[int, np.ndarray] = {}
-    for k, v in enumerate(chain):
-        flip = k >= 1 and word[k] != word[k - 1]
-        coin_map[v] = crossed if flip else straight
-    coin_map[stub_a] = coinlib.identity(1)
-    coin_map[stub_b] = coinlib.identity(1)
-    for v in (*keep_path, *drop_path):
-        coin_map[v] = coinlib.pauli_x()
-    coin_map[accept] = _holding_vertex_coin(graph.degree(accept))
-    coin_map[reject] = _holding_vertex_coin(graph.degree(reject))
-    coin_set = CoinAssignment(graph, [coin_map[v] for v in graph.vertices])
-
+    chain_coins = [
+        crossed if k >= 1 and word[k] != word[k - 1] else straight
+        for k in range(n)
+    ]
     notes = {
-        "vertex_count": graph.num_vertices,
-        "non_input_vertex_count": graph.num_vertices - n,
         "acceptance_formula": "(number of positions matching the target) / n",
         "target": word,
     }
-    return Machine(
-        family="seq-word",
-        kind="sequential",
-        word_length=n,
-        graph=graph,
-        coins=coin_set,
-        input_slots=tuple(chain),
-        accepting=frozenset({accept}),
-        rejecting=frozenset({reject}),
-        steps=n + 2,
-        notes=notes,
+    return _sequential_machine(
+        "seq-word", chain_coins, [coinlib.pauli_x()] * 4, wire, n - 1, n + 2, notes
     )
 
 
@@ -481,8 +445,8 @@ def member_word(family: str, n: int) -> str | None:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if n < 2 or n % 2:
         return None
-    m = n // 2
-    return "a" * m + "b" * m if family.endswith("eq") else "ab" * m
+    # every family name ends in its language, "eq" or "ab"
+    return reference_word(family.split("-")[1], n)
 
 
 def machine_for_length(family: str, n: int) -> Machine:
@@ -558,8 +522,7 @@ def empirical_error_margin(machine: Machine) -> float:
     if machine.family == "seq-word":
         member = machine.notes.get("target")
     worst = 0.0
-    for bits in range(2 ** n):
-        word = "".join("ab"[(bits >> (n - 1 - k)) & 1] for k in range(n))
+    for word in encoding.words_of_length(n):
         if word == member:
             continue
         worst = max(worst, word_acceptance(machine, word))

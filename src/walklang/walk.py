@@ -13,11 +13,11 @@ concurrently.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .coins import NonUnitaryError, unitarity_defect, UNITARY_TOL
+from .coins import check_unitary
 from .graph import PortGraph
 
 __all__ = [
@@ -42,6 +42,8 @@ class WalkState:
     __slots__ = ("graph", "amplitudes")
 
     def __init__(self, graph: PortGraph, amplitudes: np.ndarray, _checked: bool = False):
+        if not graph.frozen:
+            raise ValueError("a walk state needs a frozen graph")
         amps = np.array(amplitudes, dtype=np.complex128, copy=True)
         if amps.shape != (graph.num_ports,):
             raise ValueError(
@@ -49,7 +51,8 @@ class WalkState:
             )
         if not _checked:
             norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) > NORM_GUARD:
+            # written so that a NaN or infinite norm fails too
+            if not abs(norm - 1.0) <= NORM_GUARD:
                 raise ValueError(f"state is not normalised (norm {norm!r})")
         self.graph = graph
         self.amplitudes = amps
@@ -60,16 +63,6 @@ class WalkState:
         amps = np.zeros(graph.num_ports, dtype=np.complex128)
         amps[graph.state_index(v, c)] = 1.0
         return cls(graph, amps, _checked=True)
-
-    @classmethod
-    def from_entries(
-        cls, graph: PortGraph, entries: Iterable[tuple[int, int, complex]]
-    ) -> "WalkState":
-        """Build a state from ``(vertex, port, amplitude)`` triples."""
-        amps = np.zeros(graph.num_ports, dtype=np.complex128)
-        for v, c, a in entries:
-            amps[graph.state_index(v, c)] += a
-        return cls(graph, amps)
 
     def amplitude(self, v: int, c: int) -> complex:
         return complex(self.amplitudes[self.graph.state_index(v, c)])
@@ -91,6 +84,8 @@ class CoinAssignment:
     __slots__ = ("graph", "matrices")
 
     def __init__(self, graph: PortGraph, matrices: Sequence[np.ndarray]):
+        if not graph.frozen:
+            raise ValueError("a coin assignment needs a frozen graph")
         if len(matrices) != graph.num_vertices:
             raise ValueError(
                 f"{len(matrices)} coin blocks for {graph.num_vertices} vertices"
@@ -103,9 +98,7 @@ class CoinAssignment:
                 raise ValueError(
                     f"coin at vertex {v} has shape {block.shape}, degree is {d}"
                 )
-            defect = unitarity_defect(block)
-            if defect > UNITARY_TOL:
-                raise NonUnitaryError(defect, f"coin at vertex {v}")
+            check_unitary(block, f"coin at vertex {v}")
             blocks.append(block)
         self.graph = graph
         self.matrices = tuple(blocks)
@@ -135,6 +128,7 @@ class CoinAssignment:
 
     @classmethod
     def from_text(cls, graph: PortGraph, text: str) -> "CoinAssignment":
+        """Parse :meth:`to_text` output: exactly one block per graph vertex."""
         matrices: dict[int, np.ndarray] = {}
         lines = text.splitlines()
         i = 0
@@ -150,6 +144,12 @@ class CoinAssignment:
                 v, d = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ValueError(f"line {i}: bad block header {line!r}") from None
+            if not 0 <= v < graph.num_vertices:
+                raise ValueError(f"line {i}: graph has no vertex {v}")
+            if v in matrices:
+                raise ValueError(f"line {i}: second coin block for vertex {v}")
+            if d < 0:
+                raise ValueError(f"line {i}: negative degree {d} for vertex {v}")
             block = np.zeros((d, d), dtype=np.complex128)
             for r in range(d):
                 if i >= len(lines):

@@ -204,3 +204,39 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--family", "nope", "--out", "x.csv"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("coins_text,state_text,message", [
+    ("v 0 1\n1,0\nv 1 1\n1,0\n", "nan,0\n0,0\n", "normalised"),
+    ("v 0 1\n1,0\nv 0 1\n1,0\nv 1 1\n1,0\n", "1,0\n0,0\n", "line 3"),
+    ("v 0 1\n1,0\nv 1 1\n1,0\nv 7 1\n1,0\n", "1,0\n0,0\n", "line 5"),
+    ("v 0 1\n1,0\nv 1 -2\n", "1,0\n0,0\n", "line 3"),
+], ids=["nan-state", "duplicate-block", "unknown-vertex", "negative-degree"])
+def test_simulate_rejects_bad_values_and_blocks(tmp_path, capsys, coins_text, state_text, message):
+    (tmp_path / "graph.txt").write_text("0 1\n")
+    (tmp_path / "coins.txt").write_text(coins_text)
+    (tmp_path / "state.txt").write_text(state_text)
+    code = main([
+        "simulate",
+        "--graph", str(tmp_path / "graph.txt"),
+        "--coins", str(tmp_path / "coins.txt"),
+        "--state", str(tmp_path / "state.txt"),
+        "--steps", "1",
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_rejects_graph_with_portless_vertex(tmp_path, capsys):
+    (tmp_path / "graph.txt").write_text("0 2\n")
+    (tmp_path / "coins.txt").write_text("v 0 1\n1,0\nv 2 1\n1,0\n")
+    (tmp_path / "state.txt").write_text("1,0\n0,0\n")
+    code = main([
+        "simulate",
+        "--graph", str(tmp_path / "graph.txt"),
+        "--coins", str(tmp_path / "coins.txt"),
+        "--state", str(tmp_path / "state.txt"),
+        "--steps", "1",
+    ])
+    assert code == 2
+    assert "vertex 1 has no ports" in capsys.readouterr().err

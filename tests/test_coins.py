@@ -133,3 +133,13 @@ def test_custom_rejects_with_measured_defect():
 @given(st.integers(1, 9))
 def test_grover_is_unitary(d):
     assert coins.unitarity_defect(coins.grover(d)) < 1e-12
+
+
+def test_custom_rejects_nan():
+    with pytest.raises(NonUnitaryError):
+        coins.custom([[np.nan]])
+
+
+def test_tensor_rejects_nan_factor():
+    with pytest.raises(NonUnitaryError, match="left factor"):
+        coins.tensor([[np.nan]], [[1.0]])

@@ -15,7 +15,9 @@ from walklang import (
     spatial_eq,
     spatial_initial_state,
 )
-from walklang.encoding import check_word
+from walklang.encoding import check_word, words_of_length
+
+from helpers import all_words
 
 words = st.integers(1, 6).flatmap(
     lambda n: st.text(alphabet="ab", min_size=n, max_size=n)
@@ -158,3 +160,18 @@ def test_quantum_input_norm(eta, w1):
     machine = machine_for_length("seq-ab", len(w1))
     state = quantum_initial_state(machine, QuantumInput(w1, w2, complex(eta)))
     assert abs(state.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_words_of_length_is_the_lexicographic_table(n):
+    assert words_of_length(n) == all_words(n)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_enumerate_words_concatenates_words_of_length(k):
+    assert list(enumerate_words(k)) == [w for n in range(1, k + 1) for w in all_words(n)]
+
+
+def test_quantum_input_rejects_nan_eta():
+    with pytest.raises(ValueError, match="eta"):
+        QuantumInput("ab", "ba", float("nan"))

@@ -176,3 +176,37 @@ def test_edge_lines_parse_errors_carry_line_numbers():
         PortGraph.from_edge_lines("0 1\n0 1 2\n")
     with pytest.raises(ValueError, match="line 1"):
         PortGraph.from_edge_lines("zero one\n")
+
+
+def test_freeze_rejects_portless_vertex():
+    g = PortGraph()
+    g.add_vertices(3)
+    g.connect(0, 1)
+    with pytest.raises(ValueError, match="vertex 2 has no ports"):
+        g.freeze()
+    assert not g.frozen
+
+
+def test_edge_lines_with_a_gap_are_rejected():
+    with pytest.raises(ValueError, match="vertex 1 has no ports"):
+        PortGraph.from_edge_lines("0 2\n")
+
+
+def test_layout_needs_a_frozen_graph():
+    g = PortGraph()
+    g.add_vertices(2)
+    g.connect(0, 1)
+    with pytest.raises(RuntimeError, match="not frozen"):
+        g.offset(1)
+    with pytest.raises(RuntimeError, match="not frozen"):
+        g.shift_permutation()
+
+
+@given(edge_cases)
+def test_edge_lines_round_trip_keeps_every_vertex(case):
+    n, edges = case
+    g = graph_from_edges(n, edges)
+    back = PortGraph.from_edge_lines(g.to_edge_lines())
+    assert back == g
+    assert back.num_vertices == g.num_vertices
+    assert back.frozen

@@ -12,6 +12,7 @@ from walklang import (
     initial_state,
     machine_for_length,
     member_word,
+    reference_word,
     sequential_ab,
     sequential_eq,
     sequential_word,
@@ -20,7 +21,7 @@ from walklang import (
     vertex_probability,
     word_acceptance,
 )
-from walklang.machines import Machine
+from walklang.machines import FAMILIES, Machine
 
 from helpers import all_words
 
@@ -347,3 +348,15 @@ def test_export_replays(tmp_path):
 def test_machine_for_length_unknown_family():
     with pytest.raises(ValueError):
         machine_for_length("spatial-xy", 4)
+
+
+# each family's language, stated here independently of the library
+FAMILY_LANGUAGE = {"spatial-eq": "eq", "spatial-ab": "ab", "seq-ab": "ab", "seq-eq": "eq"}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_member_word_agrees_with_reference_word(family):
+    assert set(FAMILY_LANGUAGE) == set(FAMILIES)
+    for n in range(1, 17):
+        expected = reference_word(FAMILY_LANGUAGE[family], n) if n >= 2 and n % 2 == 0 else None
+        assert member_word(family, n) == expected

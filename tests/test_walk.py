@@ -199,3 +199,38 @@ def test_state_serialization_round_trip():
     assert np.array_equal(back.amplitudes, s.amplitudes)
     with pytest.raises(ValueError, match="line 1"):
         state_from_text(g, "broken\n")
+
+
+def test_walk_state_rejects_nan():
+    with pytest.raises(ValueError, match="normalised"):
+        WalkState(single_edge(), np.array([np.nan, 0.0]))
+
+
+def test_state_file_rejects_nan():
+    with pytest.raises(ValueError, match="normalised"):
+        state_from_text(single_edge(), "nan,0\n0,0\n")
+
+
+def test_coin_assignment_rejects_nan_block():
+    with pytest.raises(NonUnitaryError, match="vertex 0"):
+        CoinAssignment(single_edge(), [[[np.nan]], [[1.0]]])
+
+
+def test_walk_state_and_coins_need_a_frozen_graph():
+    g = PortGraph()
+    g.add_vertices(2)
+    g.connect(0, 1)
+    with pytest.raises(ValueError, match="frozen"):
+        WalkState(g, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="frozen"):
+        CoinAssignment(g, [np.eye(1), np.eye(1)])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("v 0 1\n1,0\nv 1 1\n1,0\nv 0 1\n1,0\n", "line 5: second coin block for vertex 0"),
+    ("v 0 1\n1,0\nv 1 1\n1,0\nv 2 1\n1,0\n", "line 5: graph has no vertex 2"),
+    ("v 0 1\n1,0\nv 1 -1\n", "line 3: negative degree -1"),
+], ids=["duplicate", "unknown-vertex", "negative-degree"])
+def test_coin_file_rejects_bad_blocks_with_line_numbers(text, message):
+    with pytest.raises(ValueError, match=message):
+        CoinAssignment.from_text(single_edge(), text)
