@@ -127,7 +127,7 @@ def quantum_initial_state(machine, qinput: QuantumInput) -> WalkState:
 
 
 def _load(machine, w1: str, w2: str, eta: complex) -> WalkState:
-    """The one input encoder, through the machine's a-slot/b-slot indices."""
+    """The one input encoder, through the machine's a-slot/b-slot table."""
     n = len(w1)
     if n != machine.word_length:
         raise ValueError(
@@ -136,8 +136,7 @@ def _load(machine, w1: str, w2: str, eta: complex) -> WalkState:
     alpha = 1.0 / np.sqrt(n)
     residual = np.sqrt(max(0.0, 1.0 - abs(eta) ** 2))
     amps = np.zeros(machine.graph.num_ports, dtype=np.complex128)
-    for k, (s1, s2) in enumerate(zip(w1, w2)):
-        ia, ib = machine.symbol_state_indices(k)
+    for (ia, ib), s1, s2 in zip(machine.slot_indices, w1, w2):
         i1 = ia if s1 == "a" else ib
         if s1 == s2:
             amps[i1] = alpha

@@ -66,6 +66,8 @@ class Machine:
     the symbol.  ``steps`` is the measurement time for this machine's
     word length.  ``notes`` records layout facts such as vertex counts
     and the closed-form acceptance rule of the construction.
+    ``slot_indices`` is derived once from ``input_slots``: per position,
+    the flat state indices of its a-slot and b-slot.
     """
 
     family: str
@@ -78,6 +80,7 @@ class Machine:
     rejecting: frozenset[int]
     steps: int
     notes: Mapping[str, object] = field(default_factory=dict)
+    slot_indices: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.accepting & self.rejecting:
@@ -87,6 +90,12 @@ class Machine:
             inputs.update(slot if isinstance(slot, tuple) else (slot,))
         if (self.accepting | self.rejecting) & inputs:
             raise ValueError("accepting/rejecting sets contain input vertices")
+        index = self.graph.state_index
+        if self.kind == "spatial":
+            table = tuple((index(a, 0), index(b, 0)) for a, b in self.input_slots)
+        else:
+            table = tuple((index(v, 0), index(v, 1)) for v in self.input_slots)
+        object.__setattr__(self, "slot_indices", table)
 
     @property
     def vertex_count(self) -> int:
@@ -94,17 +103,7 @@ class Machine:
 
     def symbol_state_indices(self, position: int) -> tuple[int, int]:
         """Flat indices of the a-slot and b-slot for a 0-based position."""
-        slot = self.input_slots[position]
-        if self.kind == "spatial":
-            a_vertex, b_vertex = slot
-            return (
-                self.graph.state_index(a_vertex, 0),
-                self.graph.state_index(b_vertex, 0),
-            )
-        return (
-            self.graph.state_index(slot, 0),
-            self.graph.state_index(slot, 1),
-        )
+        return self.slot_indices[position]
 
 
 # ---------------------------------------------------------------------------

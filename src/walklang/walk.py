@@ -6,9 +6,9 @@ the order fixed by the graph.  One step applies the per-vertex coin
 blocks and then the shift permutation; ``T`` steps of a walk starting
 from ``psi`` are ``evolve(psi, coins, T)``.
 
-Everything here is pure: states are treated as values and each operation
-returns a new state, so walks over a shared frozen graph can run
-concurrently.
+Everything here is pure: state amplitudes and coin blocks are read-only
+arrays and each operation returns a new state, so walks over a shared
+frozen graph can run concurrently.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ NORM_GUARD = 1e-9
 class WalkState:
     """Normalised amplitude vector over the ports of a frozen graph."""
 
-    __slots__ = ("graph", "amplitudes")
+    __slots__ = ("_graph", "_amplitudes")
+    graph = property(lambda self: self._graph)
+    amplitudes = property(lambda self: self._amplitudes, doc="Read-only amplitudes.")
 
     def __init__(self, graph: PortGraph, amplitudes: np.ndarray, _checked: bool = False):
         if not graph.frozen:
@@ -54,8 +56,9 @@ class WalkState:
             # written so that a NaN or infinite norm fails too
             if not abs(norm - 1.0) <= NORM_GUARD:
                 raise ValueError(f"state is not normalised (norm {norm!r})")
-        self.graph = graph
-        self.amplitudes = amps
+        amps.flags.writeable = False
+        self._graph = graph
+        self._amplitudes = amps
 
     @classmethod
     def from_basis(cls, graph: PortGraph, v: int, c: int) -> "WalkState":
@@ -78,10 +81,17 @@ class CoinAssignment:
     """One unitary per vertex, sized to the vertex degree.
 
     The global coin is the direct sum of the per-vertex blocks; its matrix
-    form is produced on demand by :func:`dense_step_matrix`.
+    form is produced on demand by :func:`dense_step_matrix`.  The blocks
+    are stored once, as one read-only ``(k, d, d)`` stack per degree d,
+    and ``matrices[v]`` is a view into its stack.  Next to each stack sit
+    the flat indices ``idx`` of its vertices' ports, shape ``(k, d)``, and
+    ``dst``, where the shift sends each of them, which is all
+    :func:`evolve` needs for one step.
     """
 
-    __slots__ = ("graph", "matrices")
+    __slots__ = ("_graph", "_matrices", "_kernel")
+    graph = property(lambda self: self._graph)
+    matrices = property(lambda self: self._matrices, doc="Read-only coin blocks.")
 
     def __init__(self, graph: PortGraph, matrices: Sequence[np.ndarray]):
         if not graph.frozen:
@@ -90,18 +100,32 @@ class CoinAssignment:
             raise ValueError(
                 f"{len(matrices)} coin blocks for {graph.num_vertices} vertices"
             )
-        blocks = []
+        degrees = graph.degrees()
+        members: dict[int, list[int]] = {}
+        for v, d in enumerate(degrees):
+            members.setdefault(d, []).append(v)
+        row = {v: i for vs in members.values() for i, v in enumerate(vs)}
+        stacks = {
+            d: np.empty((len(vs), d, d), dtype=np.complex128) for d, vs in members.items()
+        }
         for v, m in enumerate(matrices):
-            block = np.array(m, dtype=np.complex128, copy=True)
-            d = graph.degree(v)
+            block = np.asarray(m, dtype=np.complex128)
+            d = degrees[v]
             if block.shape != (d, d):
                 raise ValueError(
                     f"coin at vertex {v} has shape {block.shape}, degree is {d}"
                 )
             check_unitary(block, f"coin at vertex {v}")
-            blocks.append(block)
-        self.graph = graph
-        self.matrices = tuple(blocks)
+            stacks[d][row[v]] = block
+        shift = graph.shift_permutation()
+        kernel = []
+        for d, vs in members.items():
+            stacks[d].flags.writeable = False
+            idx = np.array([graph.offset(v) for v in vs])[:, None] + np.arange(d)
+            kernel.append((idx, shift[idx], stacks[d]))
+        self._graph = graph
+        self._matrices = tuple(stacks[d][row[v]] for v, d in enumerate(degrees))
+        self._kernel = tuple(kernel)
 
     @classmethod
     def by_degree(
@@ -175,35 +199,29 @@ class CoinAssignment:
         return cls(graph, [matrices[v] for v in graph.vertices])
 
 
-def _apply_coin(graph: PortGraph, coins: CoinAssignment, amps: np.ndarray) -> np.ndarray:
-    out = np.empty_like(amps)
-    for v in graph.vertices:
-        lo = graph.offset(v)
-        hi = lo + graph.degree(v)
-        out[lo:hi] = coins.matrices[v] @ amps[lo:hi]
-    return out
-
-
 def step(state: WalkState, coins: CoinAssignment) -> WalkState:
     """One application of U = SC: coin blocks, then the shift permutation."""
-    graph = state.graph
-    if coins.graph is not graph and coins.graph != graph:
-        raise ValueError("coin assignment was built for a different graph")
-    coined = _apply_coin(graph, coins, state.amplitudes)
-    perm = graph.shift_permutation()
-    shifted = np.empty_like(coined)
-    shifted[perm] = coined
-    return WalkState(graph, shifted, _checked=True)
+    return evolve(state, coins, 1)
 
 
 def evolve(state: WalkState, coins: CoinAssignment, steps: int) -> WalkState:
-    """Apply ``steps`` full SC steps; ``steps = 0`` returns the state unchanged."""
+    """Apply ``steps`` full SC steps; ``steps = 0`` returns an equal state.
+
+    Each step multiplies every degree class's stacked ports by its coin
+    stack and scatters the products straight to their shifted positions.
+    """
     if steps < 0:
         raise ValueError(f"step count must be non-negative, got {steps}")
-    current = state
+    graph = state.graph
+    if coins.graph is not graph and coins.graph != graph:
+        raise ValueError("coin assignment was built for a different graph")
+    amps = state.amplitudes
     for _ in range(steps):
-        current = step(current, coins)
-    return current
+        out = np.empty_like(amps)
+        for idx, dst, stack in coins._kernel:
+            out[dst] = (stack @ amps[idx][..., None])[..., 0]
+        amps = out
+    return WalkState(graph, amps, _checked=True)
 
 
 def vertex_probability(state: WalkState, v: int) -> float:
@@ -234,7 +252,7 @@ def dense_step_matrix(
 ) -> np.ndarray:
     """Explicit SC matrix over the flat port basis.
 
-    Intended as an independent cross-check of :func:`step` on small
+    Intended as an independent cross-check of :func:`evolve` on small
     graphs; refuses spaces larger than ``max_ports``.
     """
     n = graph.num_ports

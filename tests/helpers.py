@@ -46,3 +46,23 @@ def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> PortGraph:
 
 def all_words(n: int) -> list[str]:
     return ["".join("ab"[(bits >> (n - 1 - k)) & 1] for k in range(n)) for bits in range(2 ** n)]
+
+
+def reference_evolve(state, coins: CoinAssignment, steps: int) -> np.ndarray:
+    """Amplitudes after ``steps`` steps by a per-vertex coin loop and a separate shift.
+
+    A bit-identity oracle for ``walk.evolve``: each block is one ``(d, d)``
+    by ``(d,)`` product on its contiguous slice, then the shift scatters.
+    """
+    graph = state.graph
+    perm = graph.shift_permutation()
+    amps = state.amplitudes
+    for _ in range(steps):
+        coined = np.empty_like(amps)
+        for v in graph.vertices:
+            lo = graph.offset(v)
+            hi = lo + graph.degree(v)
+            coined[lo:hi] = coins.matrices[v] @ amps[lo:hi]
+        amps = np.empty_like(coined)
+        amps[perm] = coined
+    return amps

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -240,3 +241,35 @@ def test_simulate_rejects_graph_with_portless_vertex(tmp_path, capsys):
     ])
     assert code == 2
     assert "vertex 1 has no ports" in capsys.readouterr().err
+
+
+# sha256 of each output as the per-vertex coin loop wrote it; the compiled
+# coin kernel must reproduce them byte for byte
+PINNED_DIGESTS = {
+    "sweep-spatial-eq-8": "58c828aa8e6908917478144f2cdf8c8d40d530a9b65410ef97523854d0042256",
+    "sweep-spatial-ab-8": "28cbb26a23339dbbbaf4585fb3ec07d4543301ba209cbb4733683420f5feeff0",
+    "sweep-seq-ab-8": "eca9d85ffa64f3516071fdb135465aeae408fc952fcc9f86407a69f417c3c496",
+    "sweep-seq-eq-8": "8be7d566aa1d36ec7d6da35be47aca09287f35657c1e4f50ac5fd83aa64f6594",
+    "qinput-default": "a96986d58c8568c75fb62730f37968f912f84829ec0a47b69b172c66b18888bf",
+    "qinput-seq-eq-aaabbb-11": "c9cec4df9e3f9cb67f0c8a21ea3cd68e129c9737e6e88a5f151ba6ffe04a23a2",
+}
+PINNED_ARGS = {
+    **{f"sweep-{f}-8": ["sweep", "--family", f, "--max-len", "8"]
+       for f in ("spatial-eq", "spatial-ab", "seq-ab", "seq-eq")},
+    "qinput-default": ["qinput"],
+    "qinput-seq-eq-aaabbb-11": ["qinput", "--family", "seq-eq", "--base", "aaabbb",
+                                "--eta-points", "11"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_output_bytes_are_pinned(tmp_path, name):
+    out = tmp_path / "out.csv"
+    assert main([*PINNED_ARGS[name], "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_DIGESTS[name]
+
+
+def test_verify_stdout_is_pinned(capsys):
+    assert main(["verify"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "ee381ca7745e76eb3de1f0666bd5771378b0f44241c977ce8fe2da9abaa0dc67"

@@ -23,7 +23,7 @@ from walklang import (
 )
 from walklang.machines import FAMILIES, Machine
 
-from helpers import all_words
+from helpers import all_words, reference_evolve
 
 # Exhaustive length-4 acceptance tables for the reference layouts, frozen
 # from dense-matrix simulation and confirmed against the closed-form
@@ -360,3 +360,21 @@ def test_member_word_agrees_with_reference_word(family):
     for n in range(1, 17):
         expected = reference_word(FAMILY_LANGUAGE[family], n) if n >= 2 and n % 2 == 0 else None
         assert member_word(family, n) == expected
+
+
+def assert_evolve_matches_reference_loop(machine):
+    for word in all_words(machine.word_length):
+        state = initial_state(machine, word)
+        got = evolve(state, machine.coins, machine.steps).amplitudes
+        assert np.array_equal(got, reference_evolve(state, machine.coins, machine.steps))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_evolve_matches_reference_loop_for_every_word(family):
+    for n in range(1, 9):
+        assert_evolve_matches_reference_loop(machine_for_length(family, n))
+
+
+def test_sequential_word_evolve_matches_reference_loop():
+    for target in ("a", "b", "ab", "ba", "abab", "abba", "bbaab", "aababb"):
+        assert_evolve_matches_reference_loop(sequential_word(target))

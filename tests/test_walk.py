@@ -16,7 +16,13 @@ from walklang import (
 from walklang import coins
 from walklang.walk import state_from_text, state_to_text
 
-from helpers import graph_from_edges, haar_unitary, hadamard_line_coins, line_graph
+from helpers import (
+    graph_from_edges,
+    haar_unitary,
+    hadamard_line_coins,
+    line_graph,
+    reference_evolve,
+)
 
 
 def single_edge():
@@ -81,6 +87,12 @@ def test_step_rejects_foreign_coins():
     cs = CoinAssignment.by_degree(other, coins.identity)
     with pytest.raises(ValueError, match="different graph"):
         step(WalkState.from_basis(g, 0, 0), cs)
+
+
+def test_evolve_zero_steps_rejects_foreign_coins():
+    cs = CoinAssignment.by_degree(line_graph(3), coins.identity)
+    with pytest.raises(ValueError, match="different graph"):
+        evolve(WalkState.from_basis(single_edge(), 0, 0), cs, 0)
 
 
 def test_evolve_zero_steps_is_identity():
@@ -164,6 +176,18 @@ def test_evolve_matches_dense_oracle(case):
     assert abs(got.norm() - 1.0) < 1e-12
 
 
+@given(graph_cases)
+@settings(max_examples=60, deadline=None)
+def test_evolve_matches_reference_loop_bit_for_bit(case):
+    n, edges, seed, steps = case
+    g = graph_from_edges(n, edges)
+    rng = np.random.default_rng(seed)
+    cs = CoinAssignment(g, [haar_unitary(rng, g.degree(v)) for v in g.vertices])
+    amps = rng.normal(size=g.num_ports) + 1j * rng.normal(size=g.num_ports)
+    s = WalkState(g, amps / np.linalg.norm(amps))
+    assert np.array_equal(evolve(s, cs, steps).amplitudes, reference_evolve(s, cs, steps))
+
+
 def test_norm_conserved_over_long_run():
     g = line_graph(9)
     cs = hadamard_line_coins(g)
@@ -234,3 +258,43 @@ def test_walk_state_and_coins_need_a_frozen_graph():
 def test_coin_file_rejects_bad_blocks_with_line_numbers(text, message):
     with pytest.raises(ValueError, match=message):
         CoinAssignment.from_text(single_edge(), text)
+
+
+def test_coin_blocks_are_read_only():
+    g = line_graph(4)
+    cs = hadamard_line_coins(g)
+    for block in cs.matrices:
+        with pytest.raises(ValueError, match="read-only"):
+            block[:] = 2.0
+        with pytest.raises(ValueError):
+            block.flags.writeable = True
+    s = evolve(WalkState.from_basis(g, 1, 0), cs, 3)
+    assert abs(s.norm() - 1.0) < 1e-12
+
+
+def test_coin_assignment_copies_caller_blocks():
+    g = single_edge()
+    block = np.eye(1, dtype=np.complex128)
+    cs = CoinAssignment(g, [block, block])
+    block[0, 0] = 2.0
+    assert cs.matrix(0)[0, 0] == 1.0 and cs.matrix(1)[0, 0] == 1.0
+
+
+def test_state_amplitudes_are_read_only():
+    g = line_graph(3)
+    s = WalkState.from_basis(g, 1, 0)
+    evolved = evolve(s, hadamard_line_coins(g), 2)
+    for state in (s, evolved, WalkState(g, np.array([1.0, 0, 0, 0]))):
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[:] = 0
+        assert abs(state.norm() - 1.0) < 1e-12
+
+
+def test_states_and_coin_assignments_reject_attribute_rebinding():
+    g = line_graph(3)
+    s = WalkState.from_basis(g, 1, 0)
+    cs = hadamard_line_coins(g)
+    for obj, attr, value in ((s, "amplitudes", np.zeros(4)), (s, "graph", single_edge()),
+                             (cs, "matrices", ()), (cs, "graph", single_edge())):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, value)
