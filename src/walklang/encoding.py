@@ -17,6 +17,7 @@ word's slot gets ``alpha * eta`` and the second word's slot gets
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -133,8 +134,9 @@ def _load(machine, w1: str, w2: str, eta: complex) -> WalkState:
         raise ValueError(
             f"machine expects words of length {machine.word_length}, got {n}"
         )
-    alpha = 1.0 / np.sqrt(n)
-    residual = np.sqrt(max(0.0, 1.0 - abs(eta) ** 2))
+    alpha = 1.0 / math.sqrt(n)
+    a1 = alpha * eta
+    a2 = alpha * math.sqrt(max(0.0, 1.0 - abs(eta) ** 2))
     amps = np.zeros(machine.graph.num_ports, dtype=np.complex128)
     for (ia, ib), s1, s2 in zip(machine.slot_indices, w1, w2):
         i1 = ia if s1 == "a" else ib
@@ -142,6 +144,6 @@ def _load(machine, w1: str, w2: str, eta: complex) -> WalkState:
             amps[i1] = alpha
         else:
             i2 = ia if s2 == "a" else ib
-            amps[i1] += alpha * eta
-            amps[i2] += alpha * residual
+            amps[i1] += a1
+            amps[i2] += a2
     return WalkState(machine.graph, amps)

@@ -28,10 +28,13 @@ class PortGraph:
     :meth:`freeze` before running walks on it.  Frozen graphs reject
     further mutation and may be shared freely between threads.  The flat
     state layout (:meth:`offset`, :meth:`state_index`,
-    :meth:`shift_permutation`) exists only on frozen graphs.
+    :meth:`shift_permutation`, :meth:`degree_classes`) exists only on
+    frozen graphs.
     """
 
-    __slots__ = ("_degrees", "_pairing", "_edges", "_frozen", "_offsets", "_shift")
+    __slots__ = (
+        "_degrees", "_pairing", "_edges", "_frozen", "_offsets", "_shift", "_classes"
+    )
 
     def __init__(self) -> None:
         self._degrees: list[int] = []
@@ -91,6 +94,14 @@ class PortGraph:
             for (v, c), (w, d) in self._pairing.items():
                 shift[offsets[v] + c] = offsets[w] + d
             self._shift = shift
+            degrees = np.array(self._degrees)
+            classes = []
+            for d in dict.fromkeys(self._degrees):
+                vs = np.flatnonzero(degrees == d)
+                idx = offsets[vs][:, None] + np.arange(d)
+                vs.flags.writeable = idx.flags.writeable = False
+                classes.append((vs, idx))
+            self._classes = tuple(classes)
         return self
 
     # -- inspection --------------------------------------------------------
@@ -148,6 +159,13 @@ class PortGraph:
         if self._shift is None:
             raise RuntimeError("graph is not frozen")
         return self._shift
+
+    def degree_classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per degree d, in order of first appearance: the class's vertex ids,
+        shape ``(k,)``, and row by row their flat port indices, ``(k, d)``."""
+        if not self._frozen:
+            raise RuntimeError("graph is not frozen")
+        return self._classes
 
     # -- validation ----------------------------------------------------------
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -64,8 +65,8 @@ class Machine:
     ``input_slots`` maps 0-based symbol positions to the pair of input
     rail vertices (spatial) or the chain vertex (sequential) that carries
     the symbol.  ``steps`` is the measurement time for this machine's
-    word length.  ``notes`` records layout facts such as vertex counts
-    and the closed-form acceptance rule of the construction.
+    word length.  ``notes`` is a read-only record of layout facts such as
+    vertex counts and the closed-form acceptance rule of the construction.
     ``slot_indices`` is derived once from ``input_slots``: per position,
     the flat state indices of its a-slot and b-slot.
     """
@@ -96,6 +97,7 @@ class Machine:
         else:
             table = tuple((index(v, 0), index(v, 1)) for v in self.input_slots)
         object.__setattr__(self, "slot_indices", table)
+        object.__setattr__(self, "notes", MappingProxyType(dict(self.notes)))
 
     @property
     def vertex_count(self) -> int:

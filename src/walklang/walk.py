@@ -82,14 +82,16 @@ class CoinAssignment:
 
     The global coin is the direct sum of the per-vertex blocks; its matrix
     form is produced on demand by :func:`dense_step_matrix`.  The blocks
-    are stored once, as one read-only ``(k, d, d)`` stack per degree d,
-    and ``matrices[v]`` is a view into its stack.  Next to each stack sit
-    the flat indices ``idx`` of its vertices' ports, shape ``(k, d)``, and
-    ``dst``, where the shift sends each of them, which is all
-    :func:`evolve` needs for one step.
+    are stored once, as one read-only ``(k, d, d)`` stack per degree class
+    of the graph, and ``matrices[v]`` is a view into its stack.  A block
+    whose d nonzero entries are all exactly 1 is a permutation, so coin and
+    shift only move its ports' amplitudes: ``route`` gives, for every port,
+    the port it reads from in one step.  Each stack holds its mixing blocks
+    first; :func:`evolve` multiplies only those, through the flat indices
+    ``idx`` of their ports and ``dst``, where the shift sends each of them.
     """
 
-    __slots__ = ("_graph", "_matrices", "_kernel")
+    __slots__ = ("_graph", "_matrices", "_route", "_kernel")
     graph = property(lambda self: self._graph)
     matrices = property(lambda self: self._matrices, doc="Read-only coin blocks.")
 
@@ -101,13 +103,7 @@ class CoinAssignment:
                 f"{len(matrices)} coin blocks for {graph.num_vertices} vertices"
             )
         degrees = graph.degrees()
-        members: dict[int, list[int]] = {}
-        for v, d in enumerate(degrees):
-            members.setdefault(d, []).append(v)
-        row = {v: i for vs in members.values() for i, v in enumerate(vs)}
-        stacks = {
-            d: np.empty((len(vs), d, d), dtype=np.complex128) for d, vs in members.items()
-        }
+        blocks, routed = [], np.zeros(graph.num_vertices, dtype=bool)
         for v, m in enumerate(matrices):
             block = np.asarray(m, dtype=np.complex128)
             d = degrees[v]
@@ -116,15 +112,26 @@ class CoinAssignment:
                     f"coin at vertex {v} has shape {block.shape}, degree is {d}"
                 )
             check_unitary(block, f"coin at vertex {v}")
-            stacks[d][row[v]] = block
-        shift = graph.shift_permutation()
-        kernel = []
-        for d, vs in members.items():
-            stacks[d].flags.writeable = False
-            idx = np.array([graph.offset(v) for v in vs])[:, None] + np.arange(d)
-            kernel.append((idx, shift[idx], stacks[d]))
+            # a unitary block whose only nonzero entries are d ones is a permutation
+            routed[v] = np.count_nonzero(block) == d == np.count_nonzero(block == 1)
+            blocks.append(block)
+        route = np.arange(graph.num_ports)
+        views, kernel = {}, []
+        for vs, idx in graph.degree_classes():
+            order = np.argsort(routed[vs], kind="stable")
+            m = len(vs) - int(np.count_nonzero(routed[vs]))
+            vs, idx = vs[order].tolist(), idx[order]
+            dst = graph.shift_permutation()[idx]
+            stack = np.stack([blocks[v] for v in vs])
+            stack.flags.writeable = False
+            # P[i, j] = 1 sends port o + j through port o + i to shift[o + i]
+            route[dst[m:]] = np.take_along_axis(idx[m:], stack[m:].real.argmax(axis=2), 1)
+            if m:
+                kernel.append((idx[:m], dst[:m], stack[:m]))
+            views.update(zip(vs, stack))
         self._graph = graph
-        self._matrices = tuple(stacks[d][row[v]] for v, d in enumerate(degrees))
+        self._matrices = tuple(views[v] for v in graph.vertices)
+        self._route = route
         self._kernel = tuple(kernel)
 
     @classmethod
@@ -207,8 +214,9 @@ def step(state: WalkState, coins: CoinAssignment) -> WalkState:
 def evolve(state: WalkState, coins: CoinAssignment, steps: int) -> WalkState:
     """Apply ``steps`` full SC steps; ``steps = 0`` returns an equal state.
 
-    Each step multiplies every degree class's stacked ports by its coin
-    stack and scatters the products straight to their shifted positions.
+    Each step gathers every port along the route, then multiplies the mixing
+    ports of each degree class by its coin stack and scatters the products
+    straight to their shifted positions.
     """
     if steps < 0:
         raise ValueError(f"step count must be non-negative, got {steps}")
@@ -217,7 +225,7 @@ def evolve(state: WalkState, coins: CoinAssignment, steps: int) -> WalkState:
         raise ValueError("coin assignment was built for a different graph")
     amps = state.amplitudes
     for _ in range(steps):
-        out = np.empty_like(amps)
+        out = amps[coins._route]
         for idx, dst, stack in coins._kernel:
             out[dst] = (stack @ amps[idx][..., None])[..., 0]
         amps = out
@@ -234,10 +242,10 @@ def vertex_probability(state: WalkState, v: int) -> float:
 
 def all_vertex_probabilities(state: WalkState) -> np.ndarray:
     probs = np.abs(state.amplitudes) ** 2
-    return np.array(
-        [probs[state.graph.offset(v): state.graph.offset(v) + state.graph.degree(v)].sum()
-         for v in state.graph.vertices]
-    )
+    out = np.empty(state.graph.num_vertices)
+    for vs, idx in state.graph.degree_classes():
+        out[vs] = probs[idx].sum(axis=1)
+    return out
 
 
 def inner_product(s1: WalkState, s2: WalkState) -> complex:

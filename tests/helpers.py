@@ -66,3 +66,16 @@ def reference_evolve(state, coins: CoinAssignment, steps: int) -> np.ndarray:
         amps = np.empty_like(coined)
         amps[perm] = coined
     return amps
+
+
+def reference_vertex_probabilities(state) -> np.ndarray:
+    """Per-vertex probabilities by a loop over vertices, each summing its own slice.
+
+    A bit-identity oracle for ``walk.all_vertex_probabilities``.
+    """
+    graph = state.graph
+    probs = np.abs(state.amplitudes) ** 2
+    return np.array(
+        [probs[graph.offset(v): graph.offset(v) + graph.degree(v)].sum()
+         for v in graph.vertices]
+    )

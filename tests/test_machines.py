@@ -22,8 +22,9 @@ from walklang import (
     word_acceptance,
 )
 from walklang.machines import FAMILIES, Machine
+from walklang.walk import all_vertex_probabilities
 
-from helpers import all_words, reference_evolve
+from helpers import all_words, reference_evolve, reference_vertex_probabilities
 
 # Exhaustive length-4 acceptance tables for the reference layouts, frozen
 # from dense-matrix simulation and confirmed against the closed-form
@@ -378,3 +379,36 @@ def test_evolve_matches_reference_loop_for_every_word(family):
 def test_sequential_word_evolve_matches_reference_loop():
     for target in ("a", "b", "ab", "ba", "abab", "abba", "bbaab", "aababb"):
         assert_evolve_matches_reference_loop(sequential_word(target))
+
+
+def test_all_permutation_machine_routes_every_port():
+    for target in ("ab", "abba", "aababb"):
+        machine = sequential_word(target)
+        assert machine.coins._kernel == ()  # no coin block is multiplied
+        steps = 2 * machine.steps + 1
+        for word in all_words(len(target)):
+            state = initial_state(machine, word)
+            got = evolve(state, machine.coins, steps).amplitudes
+            assert np.array_equal(got, reference_evolve(state, machine.coins, steps))
+            assert np.array_equal(np.sort_complex(got), np.sort_complex(state.amplitudes))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_all_vertex_probabilities_match_reference_loop(family):
+    for n in range(1, 9):
+        machine = machine_for_length(family, n)
+        for word in all_words(n):
+            state = initial_state(machine, word)
+            for s in (state, evolve(state, machine.coins, machine.steps)):
+                got = all_vertex_probabilities(s)
+                assert np.array_equal(got, reference_vertex_probabilities(s))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_machine_notes_are_read_only(family):
+    machine = machine_for_length(family, 4)
+    with pytest.raises(TypeError):
+        machine.notes["x"] = 1
+    with pytest.raises(TypeError):
+        del machine.notes["vertex_count"]
+    assert "x" not in machine.notes

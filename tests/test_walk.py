@@ -188,6 +188,32 @@ def test_evolve_matches_reference_loop_bit_for_bit(case):
     assert np.array_equal(evolve(s, cs, steps).amplitudes, reference_evolve(s, cs, steps))
 
 
+def permutation_coin(rng: np.random.Generator, d: int, kind: int) -> np.ndarray:
+    """Kind 0: a 0/1 permutation; 1: its negative; 2: times 1j; 3: a Haar unitary."""
+    if kind == 3:
+        return haar_unitary(rng, d)
+    p = np.eye(d, dtype=np.complex128)[rng.permutation(d)]
+    return (1.0, -1.0, 1j)[kind] * p
+
+
+@given(graph_cases)
+@settings(max_examples=60, deadline=None)
+def test_evolve_routes_permutation_coins_bit_for_bit(case):
+    n, edges, seed, steps = case
+    # the ring makes vertices share degrees, so one class mixes coin kinds
+    g = graph_from_edges(n, [(v, (v + 1) % n) for v in range(n)] + edges)
+    rng = np.random.default_rng(seed)
+    kinds = rng.integers(0, 4, size=n)
+    blocks = [permutation_coin(rng, g.degree(v), k) for v, k in enumerate(kinds)]
+    cs = CoinAssignment(g, blocks)
+    assert all(np.array_equal(cs.matrix(v), b) for v, b in enumerate(blocks))
+    multiplied = sum(len(idx) for idx, _, _ in cs._kernel)
+    assert multiplied == np.count_nonzero(kinds != 0)
+    amps = rng.normal(size=g.num_ports) + 1j * rng.normal(size=g.num_ports)
+    s = WalkState(g, amps / np.linalg.norm(amps))
+    assert np.array_equal(evolve(s, cs, steps).amplitudes, reference_evolve(s, cs, steps))
+
+
 def test_norm_conserved_over_long_run():
     g = line_graph(9)
     cs = hadamard_line_coins(g)
