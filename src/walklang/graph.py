@@ -27,18 +27,15 @@ class PortGraph:
     Build with :meth:`add_vertex` and :meth:`connect`, then call
     :meth:`freeze` before running walks on it.  Frozen graphs reject
     further mutation and may be shared freely between threads.  The flat
-    state layout (:meth:`offset`, :meth:`state_index`,
+    state layout (:meth:`offset`, :meth:`state_index`, :meth:`shift_target`,
     :meth:`shift_permutation`, :meth:`degree_classes`) exists only on
     frozen graphs.
     """
 
-    __slots__ = (
-        "_degrees", "_pairing", "_edges", "_frozen", "_offsets", "_shift", "_classes"
-    )
+    __slots__ = ("_degrees", "_edges", "_frozen", "_offsets", "_shift", "_classes")
 
     def __init__(self) -> None:
         self._degrees: list[int] = []
-        self._pairing: dict[tuple[int, int], tuple[int, int]] = {}
         self._edges: list[tuple[int, int]] = []
         self._frozen = False
         self._offsets: np.ndarray | None = None
@@ -71,8 +68,6 @@ class PortGraph:
         self._degrees[u] += 1
         cv = self._degrees[v]
         self._degrees[v] += 1
-        self._pairing[(u, cu)] = (v, cv)
-        self._pairing[(v, cv)] = (u, cu)
         self._edges.append((u, v))
         return cu, cv
 
@@ -80,7 +75,10 @@ class PortGraph:
         """Lock the graph and precompute the flat state layout.
 
         Every vertex must carry at least one port: a port-less vertex has
-        no basis state and cannot be written to the edge-list format.
+        no basis state and cannot be written to the edge-list format.  The
+        port pairing is derived here from the edge order: the ends
+        ``u0 v0 u1 v1 ...`` sorted stably by vertex are the flat ports in
+        order, and the two ends of each edge are paired.
         """
         if not self._frozen:
             for v, d in enumerate(self._degrees):
@@ -90,9 +88,12 @@ class PortGraph:
             offsets = np.zeros(len(self._degrees) + 1, dtype=np.int64)
             np.cumsum(self._degrees, out=offsets[1:])
             self._offsets = offsets
-            shift = np.empty(self.num_ports, dtype=np.int64)
-            for (v, c), (w, d) in self._pairing.items():
-                shift[offsets[v] + c] = offsets[w] + d
+            ends = np.array(self._edges, dtype=np.int64).reshape(-1)
+            port = np.empty_like(ends)
+            port[np.argsort(ends, kind="stable")] = np.arange(len(ends))
+            shift = np.empty_like(port)
+            shift[port[0::2]] = port[1::2]
+            shift[port[1::2]] = port[0::2]
             self._shift = shift
             degrees = np.array(self._degrees)
             classes = []
@@ -116,7 +117,7 @@ class PortGraph:
 
     @property
     def num_ports(self) -> int:
-        return sum(self._degrees)
+        return 2 * len(self._edges)
 
     @property
     def vertices(self) -> range:
@@ -134,25 +135,26 @@ class PortGraph:
         """Edges in insertion order (the order that fixes port labels)."""
         return tuple(self._edges)
 
-    def shift_target(self, v: int, c: int) -> tuple[int, int]:
-        """Return the port paired with ``(v, c)``."""
-        try:
-            return self._pairing[(v, c)]
-        except KeyError:
-            raise ValueError(f"invalid port ({v}, {c})") from None
-
     # -- flat state layout ---------------------------------------------------
 
     def offset(self, v: int) -> int:
         """Start of vertex ``v``'s block in the flat amplitude vector."""
         if self._offsets is None:
             raise RuntimeError("graph is not frozen")
+        if not 0 <= v < len(self._degrees):
+            raise ValueError(f"unknown vertex id {v}")
         return int(self._offsets[v])
 
     def state_index(self, v: int, c: int) -> int:
         if not 0 <= c < self.degree(v):
             raise ValueError(f"invalid port ({v}, {c})")
         return self.offset(v) + c
+
+    def shift_target(self, v: int, c: int) -> tuple[int, int]:
+        """Return the port paired with ``(v, c)``."""
+        target = int(self._shift[self.state_index(v, c)])
+        w = int(np.searchsorted(self._offsets, target, side="right")) - 1
+        return w, target - int(self._offsets[w])
 
     def shift_permutation(self) -> np.ndarray:
         """Self-inverse permutation of flat indices realising the shift."""
@@ -166,34 +168,6 @@ class PortGraph:
         if not self._frozen:
             raise RuntimeError("graph is not frozen")
         return self._classes
-
-    # -- validation ----------------------------------------------------------
-
-    def validate(self) -> list[str]:
-        """Return a list of structural violations (empty when well formed)."""
-        problems = []
-        for v in self.vertices:
-            for c in range(self._degrees[v]):
-                target = self._pairing.get((v, c))
-                if target is None:
-                    problems.append(f"port ({v}, {c}) has no pairing entry")
-                    continue
-                if target == (v, c):
-                    problems.append(f"port ({v}, {c}) is paired with itself")
-                    continue
-                back = self._pairing.get(target)
-                if back != (v, c):
-                    problems.append(
-                        f"pairing of port ({v}, {c}) is not an involution"
-                    )
-        for key in self._pairing:
-            v, c = key
-            if not (0 <= v < self.num_vertices and 0 <= c < self._degrees[v]):
-                problems.append(f"pairing references unknown port {key}")
-        for v in self.vertices:
-            if self._degrees[v] == 0:
-                problems.append(f"warning: vertex {v} has no ports")
-        return problems
 
     # -- serialization -------------------------------------------------------
 
@@ -215,7 +189,6 @@ class PortGraph:
         """
         graph = cls()
         pending: list[tuple[int, int]] = []
-        max_vertex = -1
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -232,8 +205,12 @@ class PortGraph:
             if u < 0 or v < 0:
                 raise ValueError(f"line {lineno}: vertex ids must be non-negative")
             pending.append((u, v))
-            max_vertex = max(max_vertex, u, v)
-        graph.add_vertices(max_vertex + 1)
+        # the ids in use are 0 .. n-1 exactly when the smallest unused one is n
+        seen = {w for edge in pending for w in edge}
+        gap = next(w for w in range(len(seen) + 1) if w not in seen)
+        if gap < len(seen):
+            raise ValueError(f"vertex {gap} has no ports")
+        graph.add_vertices(len(seen))
         for u, v in pending:
             graph.connect(u, v)
         return graph.freeze()

@@ -201,6 +201,12 @@ def test_verify_catches_injected_defect():
     assert "FAIL coin-unitarity" in buf.getvalue()
 
 
+def test_verify_fails_when_no_graph_is_compared():
+    buf = io.StringIO()
+    assert run_verify(oracle_limit=0, stream=buf) == 1
+    assert "FAIL oracle-equivalence" in buf.getvalue()
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--family", "nope", "--out", "x.csv"])
