@@ -24,10 +24,10 @@ never varies it, so rebuilding a machine reproduces states bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -65,8 +65,8 @@ class Machine:
     ``input_slots`` maps 0-based symbol positions to the pair of input
     rail vertices (spatial) or the chain vertex (sequential) that carries
     the symbol.  ``steps`` is the measurement time for this machine's
-    word length.  ``notes`` is a read-only record of layout facts such as
-    vertex counts and the closed-form acceptance rule of the construction.
+    word length.  ``member`` is the word of ``word_length`` that the machine
+    accepts with certainty, or None when that length has none.
     ``slot_indices`` is derived once from ``input_slots``: per position,
     the flat state indices of its a-slot and b-slot.
     """
@@ -80,7 +80,7 @@ class Machine:
     accepting: frozenset[int]
     rejecting: frozenset[int]
     steps: int
-    notes: Mapping[str, object] = field(default_factory=dict)
+    member: str | None = None
     slot_indices: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -97,15 +97,6 @@ class Machine:
         else:
             table = tuple((index(v, 0), index(v, 1)) for v in self.input_slots)
         object.__setattr__(self, "slot_indices", table)
-        object.__setattr__(self, "notes", MappingProxyType(dict(self.notes)))
-
-    @property
-    def vertex_count(self) -> int:
-        return self.graph.num_vertices
-
-    def symbol_state_indices(self, position: int) -> tuple[int, int]:
-        """Flat indices of the a-slot and b-slot for a 0-based position."""
-        return self.slot_indices[position]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +114,9 @@ def _build_spatial(family: str, pairs: int, surplus: bool) -> Machine:
     never-populated rails of each pair share a sink vertex and have no
     path to the accepting vertex.  Every coin is a Grover coin sized to
     the vertex degree (degree 1 gives the 1x1 identity, degree 2 the
-    swap).
+    swap).  A word of length n therefore scores, summed over the hubs,
+    2/n for a hub with both rails populated, 1/(2n) for a hub with one,
+    and 0 otherwise; the surplus symbol of an odd n only dilutes this.
 
     Connect order: per pair, a-rail hub edge, b-rail hub edge, the two
     hub wire edges; then every wire accepting-vertex edge in pair order;
@@ -132,7 +125,8 @@ def _build_spatial(family: str, pairs: int, surplus: bool) -> Machine:
     accepting vertex.
 
     A machine for even word length n = 2m uses 4n + 1 vertices:
-    2n rails, m hubs, 2m wires, m sinks and the accepting vertex.
+    2n rails, m hubs, 2m wires, m sinks and the accepting vertex.  Odd n
+    adds 2 rails and 1 sink for the surplus symbol.
     """
     if pairs < 0 or (pairs == 0 and not surplus):
         raise ValueError("spatial machines need at least one symbol pair")
@@ -174,41 +168,17 @@ def _build_spatial(family: str, pairs: int, surplus: bool) -> Machine:
         graph.connect(accept, accept)
     graph.freeze()
 
-    coin_set = CoinAssignment.by_degree(graph, coinlib.grover)
-
-    m = pairs
-    notes: dict[str, object] = {
-        "vertex_count": graph.num_vertices,
-        "vertex_count_formula": "4n + 1 for even word length n"
-        + (" plus 2 rails and 1 sink for the surplus symbol" if surplus else ""),
-        "acceptance_rule": (
-            "sum over pairs: 1/m when both rails are populated, "
-            "1/(4m) when exactly one is, 0 otherwise"
-        ),
-    }
-    if family == "spatial-eq":
-        notes["vertex_count_design_target"] = "4n + 3 for even word length n"
-        notes["vertex_count_deviation"] = (
-            "-2: off-rail pairs share one sink vertex and no separate "
-            "reject gadget is used"
-        )
-    else:
-        notes["vertex_count_design_target"] = "4n + 1 for even word length n"
-    if m >= 1:
-        notes["one_symbol_off_acceptance"] = 1.0 - 3.0 / (4.0 * m)
-        notes["one_symbol_off_bound"] = 1.0 - 1.0 / (2.0 * m)
-
     return Machine(
         family=family,
         kind="spatial",
         word_length=n,
         graph=graph,
-        coins=coin_set,
+        coins=CoinAssignment.by_degree(graph, coinlib.grover),
         input_slots=tuple(rails),
         accepting=frozenset({accept}),
         rejecting=frozenset(),
         steps=3,
-        notes=notes,
+        member=member_word(family, n),
     )
 
 
@@ -217,7 +187,10 @@ def spatial_eq(pairs: int) -> Machine:
 
     The j-th hub joins the a-rail of position j with the b-rail of
     position m + j, so only the unique length-2m member word populates
-    both ports of every hub.
+    both ports of every hub.  The one-symbol-off word a^m b^(m-1) a scores
+    1 - 3/(4m), within the bounded-error limit 1 - 1/(2m).  The design
+    target of 4n + 3 vertices is undercut by 2: off-rail pairs share one
+    sink vertex and no separate reject gadget is used.
     """
     if pairs < 1:
         raise ValueError("spatial_eq needs at least one symbol pair")
@@ -249,7 +222,7 @@ def _holding_vertex_coin(degree: int) -> np.ndarray:
 
 def _sequential_machine(
     family: str, chain_coins: list[np.ndarray], middle_coins: list[np.ndarray],
-    wire: Callable, hold: int, steps: int, notes: dict,
+    wire: Callable, hold: int, steps: int, member: str | None,
 ) -> Machine:
     """Shared frame of every sequential machine.
 
@@ -290,8 +263,6 @@ def _sequential_machine(
     stub = coinlib.identity(1)
     holders = [_holding_vertex_coin(graph.degree(v)) for v in (accept, reject)]
     coin_set = CoinAssignment(graph, [*chain_coins, stub, stub, *middle_coins, *holders])
-    notes.setdefault("vertex_count", graph.num_vertices)
-    notes.setdefault("non_input_vertex_count", graph.num_vertices - n)
     return Machine(
         family=family,
         kind="sequential",
@@ -302,13 +273,11 @@ def _sequential_machine(
         accepting=frozenset({accept}),
         rejecting=frozenset({reject}),
         steps=steps,
-        notes=notes,
+        member=member,
     )
 
 
-def _finish_sequential(
-    family: str, n: int, delay: int, steps: int, hold: int, notes: dict
-) -> Machine:
+def _finish_sequential(family: str, n: int, delay: int, steps: int, hold: int) -> Machine:
     """Chain, delay path and interference vertex of the ab and eq machines.
 
     Every chain vertex has a swap-pair coin, so each step moves every
@@ -337,55 +306,35 @@ def _finish_sequential(
     mixer_coin = coinlib.tensor(coinlib.pauli_x(), coinlib.hadamard())
     middle_coins = [coinlib.pauli_x()] * delay + [mixer_coin]
     return _sequential_machine(
-        family, [pass_through] * n, middle_coins, wire, hold, steps, notes
+        family, [pass_through] * n, middle_coins, wire, hold, steps, member_word(family, n)
     )
 
 
 def sequential_ab(n: int) -> Machine:
     """Sequential machine accepting (ab)^{n/2} with certainty.
 
-    Runs n + 2 steps so that even the last symbol's delayed a amplitude
-    is processed; members already sit fully on the accepting vertex one
-    step earlier, so (ab)^2 is accepted at step five as well.  Every word
-    scores at least one half.
+    A word scores 1/2 + (number of 'ab' substrings) / n.  The walk runs
+    n + 2 steps: members already sit fully on the accepting vertex after
+    n + 1, so (ab)^2 is accepted at step five as well, but the last
+    symbol's delayed a amplitude of other words is still in flight then.
     """
     if n < 1:
         raise ValueError("sequential_ab needs word length >= 1")
-    notes = {
-        "acceptance_formula": "1/2 + (number of 'ab' substrings) / n",
-        "non_member_floor": 0.5,
-        "schedule_note": (
-            "n + 2 steps; members are complete after n + 1 but the final "
-            "a amplitude of other words is still in flight then"
-        ),
-    }
-    return _finish_sequential("seq-ab", n, delay=1, steps=n + 2, hold=n, notes=notes)
+    return _finish_sequential("seq-ab", n, delay=1, steps=n + 2, hold=n)
 
 
-def sequential_eq(pairs: int, length: int | None = None) -> Machine:
+def sequential_eq(pairs: int) -> Machine:
     """Sequential machine accepting a^m b^m with certainty.
 
     The a amplitude is held back by an m-vertex delay path, so it
     interferes with the b amplitude arriving m symbols later; the walk
-    runs n + m + 1 steps.  ``length`` overrides the chain length for
-    sweep machines over words with no member of their length.
+    runs n + m + 1 steps.  A word scores 1/2 + (number of positions k with
+    a at k and b at k + m) / n.  Other word lengths n keep the delay
+    m = max(1, n // 2): see :func:`machine_for_length`.
     """
     if pairs < 1:
         raise ValueError("sequential_eq needs at least one symbol pair")
-    n = 2 * pairs if length is None else length
-    if n < 1:
-        raise ValueError("sequential_eq needs word length >= 1")
-    notes = {
-        "acceptance_formula": (
-            "1/2 + (number of positions k with symbol a at k and symbol b "
-            "at k + m) / n"
-        ),
-        "non_member_floor": 0.5,
-        "delay_vertices": pairs,
-    }
-    return _finish_sequential(
-        "seq-eq", n, delay=pairs, steps=n + pairs + 1, hold=n + pairs, notes=notes
-    )
+    return machine_for_length("seq-eq", 2 * pairs)
 
 
 def sequential_word(word: str) -> Machine:
@@ -427,12 +376,8 @@ def sequential_word(word: str) -> Machine:
         crossed if k >= 1 and word[k] != word[k - 1] else straight
         for k in range(n)
     ]
-    notes = {
-        "acceptance_formula": "(number of positions matching the target) / n",
-        "target": word,
-    }
     return _sequential_machine(
-        "seq-word", chain_coins, [coinlib.pauli_x()] * 4, wire, n - 1, n + 2, notes
+        "seq-word", chain_coins, [coinlib.pauli_x()] * 4, wire, n - 1, n + 2, word
     )
 
 
@@ -455,7 +400,8 @@ def machine_for_length(family: str, n: int) -> Machine:
 
     Spatial machines for odd n get a surplus input pair wired only to a
     sink, so the extra symbol's amplitude never reaches the accepting
-    vertex.  Sequential machines take any chain length directly.
+    vertex.  Sequential machines take any chain length directly; seq-eq
+    delays by m = max(1, n // 2) symbols.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
@@ -465,7 +411,8 @@ def machine_for_length(family: str, n: int) -> Machine:
         return _build_spatial(family, n // 2, surplus=bool(n % 2))
     if family == "seq-ab":
         return sequential_ab(n)
-    return sequential_eq(max(1, n // 2), length=n)
+    m = max(1, n // 2)
+    return _finish_sequential("seq-eq", n, delay=m, steps=n + m + 1, hold=n + m)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +448,8 @@ def classify(
 ) -> AcceptanceVerdict:
     if not 0.0 <= cutpoint < 1.0:
         raise ValueError(f"cutpoint must be in [0, 1), got {cutpoint}")
-    if margin <= 0.0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    if not 0.0 < margin < math.inf:
+        raise ValueError(f"margin must be positive and finite, got {margin}")
     p = acceptance_probability(machine, state)
     if p > cutpoint + margin:
         verdict = "accept"
@@ -518,16 +465,8 @@ def empirical_error_margin(machine: Machine) -> float:
 
     Exhaustive over all 2^n words, so only feasible for short lengths.
     """
-    n = machine.word_length
-    member = member_word(machine.family, n) if machine.family in FAMILIES else None
-    if machine.family == "seq-word":
-        member = machine.notes.get("target")
-    worst = 0.0
-    for word in encoding.words_of_length(n):
-        if word == member:
-            continue
-        worst = max(worst, word_acceptance(machine, word))
-    return worst
+    words = encoding.words_of_length(machine.word_length)
+    return max((word_acceptance(machine, w) for w in words if w != machine.member), default=0.0)
 
 
 # ---------------------------------------------------------------------------

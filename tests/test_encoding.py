@@ -146,7 +146,7 @@ def test_quantum_input_splits_differing_slots():
     assert abs(state.norm() - 1.0) < 1e-12
     expected = 0.5 * eta
     for k, (s1, s2) in enumerate(zip("aabb", "bbaa")):
-        ia, ib = machine.symbol_state_indices(k)
+        ia, ib = machine.slot_indices[k]
         i1 = ia if s1 == "a" else ib
         i2 = ia if s2 == "a" else ib
         assert state.amplitudes[i1] == pytest.approx(expected)

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -24,11 +27,16 @@ from walklang import (
 from walklang.machines import FAMILIES, Machine
 from walklang.walk import all_vertex_probabilities
 
-from helpers import all_words, reference_evolve, reference_vertex_probabilities
+from helpers import (
+    all_words,
+    closed_form_acceptance,
+    reference_evolve,
+    reference_vertex_probabilities,
+)
 
 # Exhaustive length-4 acceptance tables for the reference layouts, frozen
 # from dense-matrix simulation and confirmed against the closed-form
-# per-pair rules documented on the machines.
+# per-pair rules in helpers.closed_form_acceptance.
 SPATIAL_EQ_2 = {
     "aaaa": 0.25, "aaab": 0.625, "aaba": 0.625, "aabb": 1.0,
     "abaa": 0.125, "abab": 0.25, "abba": 0.5, "abbb": 0.625,
@@ -41,10 +49,6 @@ SPATIAL_AB_2 = {
     "baaa": 0.125, "baab": 0.5, "baba": 0.0, "babb": 0.125,
     "bbaa": 0.25, "bbab": 0.625, "bbba": 0.125, "bbbb": 0.25,
 }
-
-
-def count_ab_substrings(word: str) -> int:
-    return sum(1 for i in range(len(word) - 1) if word[i : i + 2] == "ab")
 
 
 # -- spatial machines --------------------------------------------------------
@@ -97,11 +101,11 @@ def test_spatial_member_lands_exactly_at_step_three(family, builder):
 def test_spatial_vertex_counts():
     for pairs in (1, 2, 4):
         n = 2 * pairs
-        assert spatial_eq(pairs).vertex_count == 4 * n + 1
-        assert spatial_ab(pairs).vertex_count == 4 * n + 1
-    notes = spatial_eq(2).notes
-    assert notes["vertex_count_design_target"] == "4n + 3 for even word length n"
-    assert "-2" in notes["vertex_count_deviation"]
+        assert spatial_eq(pairs).graph.num_vertices == 4 * n + 1
+        assert spatial_ab(pairs).graph.num_vertices == 4 * n + 1
+        # the surplus symbol of an odd length adds 2 rails and 1 sink
+        for family in ("spatial-eq", "spatial-ab"):
+            assert machine_for_length(family, n + 1).graph.num_vertices == 4 * n + 4
 
 
 @pytest.mark.parametrize("pairs", range(2, 9))
@@ -109,9 +113,9 @@ def test_spatial_eq_one_off_constant_matches_notes(pairs):
     machine = spatial_eq(pairs)
     word = "a" * pairs + "b" * (pairs - 1) + "a"
     p = word_acceptance(machine, word)
-    assert p == pytest.approx(machine.notes["one_symbol_off_acceptance"], abs=1e-12)
+    assert p == pytest.approx(closed_form_acceptance(machine, word), abs=1e-12)
     assert p == pytest.approx(1 - 3 / (4 * pairs), abs=1e-12)
-    assert p <= machine.notes["one_symbol_off_bound"] + 1e-12
+    assert p <= 1 - 1 / (2 * pairs) + 1e-12
 
 
 def test_spatial_builders_reject_zero_pairs():
@@ -155,7 +159,7 @@ def test_sequential_ab_smallest_member():
 def test_sequential_ab_exhaustive_formula_n4():
     machine = sequential_ab(4)
     for word in all_words(4):
-        expected = 1.0 if word == "abab" else 0.5 + count_ab_substrings(word) / 4
+        expected = closed_form_acceptance(machine, word)
         assert word_acceptance(machine, word) == pytest.approx(expected, abs=1e-12)
         assert word_acceptance(machine, word) >= 0.5 - 1e-12
 
@@ -171,10 +175,7 @@ def test_sequential_ab_floor_other_lengths(n):
     machine = sequential_ab(n)
     for word in all_words(n):
         p = word_acceptance(machine, word)
-        expected = 0.5 + count_ab_substrings(word) / n
-        if word == member_word("seq-ab", n):
-            expected = 1.0
-        assert p == pytest.approx(expected, abs=1e-12)
+        assert p == pytest.approx(closed_form_acceptance(machine, word), abs=1e-12)
 
 
 def test_sequential_eq_members():
@@ -207,7 +208,7 @@ def test_sequential_eq_schedule():
 def test_sequential_word_abab():
     machine = sequential_word("abab")
     assert machine.steps == 6
-    assert machine.vertex_count - machine.word_length == 8
+    assert machine.graph.num_vertices - machine.word_length == 8
     assert word_acceptance(machine, "abab") == pytest.approx(1.0, abs=1e-12)
     # acceptance of any other input counts matching positions only
     for word in all_words(4):
@@ -263,6 +264,13 @@ def test_classify_verdicts():
         classify(machine, initial_state(machine, "aabb"), 0.9, 0.0)
 
 
+@pytest.mark.parametrize("margin", [float("nan"), float("inf")])
+def test_classify_rejects_margins_that_are_not_positive_and_finite(margin):
+    machine = spatial_eq(1)
+    with pytest.raises(ValueError, match="margin"):
+        classify(machine, initial_state(machine, "ab"), 0.9, margin)
+
+
 def test_classify_exhaustive_default_cutpoint():
     for pairs in (1, 2, 3, 4):
         machine = spatial_eq(pairs)
@@ -284,6 +292,8 @@ def test_empirical_error_margins():
         if sum(x != y for x, y in zip(w, "aabb")) == 1
     )
     assert one_off == pytest.approx(empirical_error_margin(machine), abs=1e-12)
+    # a word machine skips its own target, and the best other word misses one symbol
+    assert empirical_error_margin(sequential_word("abba")) == pytest.approx(0.75, abs=1e-12)
 
 
 # -- structure and reproducibility -------------------------------------------
@@ -319,7 +329,7 @@ def test_machine_rejects_overlapping_sets():
 def test_coin_dimensions_match_degrees():
     for machine in (spatial_eq(2), sequential_ab(3), sequential_word("aab")):
         for v in machine.graph.vertices:
-            assert machine.coins.matrix(v).shape == (machine.graph.degree(v),) * 2
+            assert machine.coins.matrices[v].shape == (machine.graph.degree(v),) * 2
 
 
 def test_rebuild_is_bit_identical():
@@ -405,10 +415,46 @@ def test_all_vertex_probabilities_match_reference_loop(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_machine_notes_are_read_only(family):
+def test_machine_member_cannot_be_rebound(family):
     machine = machine_for_length(family, 4)
-    with pytest.raises(TypeError):
-        machine.notes["x"] = 1
-    with pytest.raises(TypeError):
-        del machine.notes["vertex_count"]
-    assert "x" not in machine.notes
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        machine.member = "abba"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del machine.member
+    assert machine.member == member_word(family, 4)
+
+
+# -- members and the closed-form acceptance rules ----------------------------
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_machine_names_its_member(family):
+    for n in range(1, 9):
+        assert machine_for_length(family, n).member == member_word(family, n)
+    assert sequential_word("abba").member == "abba"
+
+
+def test_sequential_eq_is_the_even_length_family_machine():
+    assert list(inspect.signature(sequential_eq).parameters) == ["pairs"]
+    for pairs in (1, 2, 3):
+        built, general = sequential_eq(pairs), machine_for_length("seq-eq", 2 * pairs)
+        assert built.graph.to_edge_lines() == general.graph.to_edge_lines()
+        assert built.coins.to_text() == general.coins.to_text()
+        assert (built.steps, built.member) == (general.steps, general.member)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_form_acceptance_matches_every_word(family):
+    for n in range(1, 13):
+        machine = machine_for_length(family, n)
+        for word in all_words(n):
+            expected = closed_form_acceptance(machine, word)
+            assert abs(word_acceptance(machine, word) - expected) <= 1e-12, (n, word)
+
+
+def test_closed_form_acceptance_matches_every_word_machine():
+    for n in range(1, 7):
+        for target in all_words(n):
+            machine = sequential_word(target)
+            for word in all_words(n):
+                expected = closed_form_acceptance(machine, word)
+                assert abs(word_acceptance(machine, word) - expected) <= 1e-12, (target, word)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from walklang import (
     CoinAssignment,
@@ -206,7 +206,7 @@ def test_evolve_routes_permutation_coins_bit_for_bit(case):
     kinds = rng.integers(0, 4, size=n)
     blocks = [permutation_coin(rng, g.degree(v), k) for v, k in enumerate(kinds)]
     cs = CoinAssignment(g, blocks)
-    assert all(np.array_equal(cs.matrix(v), b) for v, b in enumerate(blocks))
+    assert all(np.array_equal(cs.matrices[v], b) for v, b in enumerate(blocks))
     multiplied = sum(len(idx) for idx, _, _ in cs._kernel)
     assert multiplied == np.count_nonzero(kinds != 0)
     amps = rng.normal(size=g.num_ports) + 1j * rng.normal(size=g.num_ports)
@@ -251,6 +251,47 @@ def test_state_serialization_round_trip():
         state_from_text(g, "broken\n")
 
 
+# text in the edge, coin and state formats, built from small ids, random
+# integers and cells that are valid, non-finite, huge or malformed
+small = st.integers(-1, 3)
+number = st.one_of(small, st.integers()).map(str)
+cell = st.one_of(
+    st.sampled_from(["1,0", "0,1", "0,0", "0.6,0.8", "nan,0", "0,inf", "1e308,1e308",
+                     "1e200,0", "1,", ",", "x"]),
+    number.map(lambda x: f"{x},0"),
+)
+row = st.lists(cell, max_size=3).map(" ".join)
+# a header and as many rows as it asks for, each of that many cells
+block = st.tuples(small, small).flatmap(lambda h: st.lists(
+    st.lists(cell, min_size=max(h[1], 0), max_size=max(h[1], 0)).map(" ".join),
+    min_size=max(h[1], 0), max_size=max(h[1], 0),
+).map(lambda rows: "\n".join([f"v {h[0]} {h[1]}", *rows])))
+line = st.one_of(
+    st.tuples(small.map(str), number).map(" ".join),  # edge
+    st.tuples(small.map(str), number).map(lambda h: f"v {h[0]} {h[1]}"),  # coin header
+    block,
+    row,  # coin row, or a state line when it has one cell
+    st.sampled_from(["", "# comment", "v", "v 0 1 2"]),
+)
+texts = st.lists(line, max_size=8).map("\n".join)
+
+
+@given(texts, texts, texts)
+@example("0 1", "v 0 1\n1e308,1e308\nv 1 1\n1,0", "1e308,1e308\n0,0")
+@example("0 1", "v 0 3000000", "")
+@settings(max_examples=300, deadline=None)
+def test_parsers_fail_only_with_value_error(graph_text, coin_text, state_text):
+    try:
+        graph = PortGraph.from_edge_lines(graph_text)
+    except ValueError:
+        graph = single_edge()
+    for parse, text in ((CoinAssignment.from_text, coin_text), (state_from_text, state_text)):
+        try:
+            parse(graph, text)
+        except ValueError:
+            pass
+
+
 def test_walk_state_rejects_nan():
     with pytest.raises(ValueError, match="normalised"):
         WalkState(single_edge(), np.array([np.nan, 0.0]))
@@ -280,7 +321,8 @@ def test_walk_state_and_coins_need_a_frozen_graph():
     ("v 0 1\n1,0\nv 1 1\n1,0\nv 0 1\n1,0\n", "line 5: second coin block for vertex 0"),
     ("v 0 1\n1,0\nv 1 1\n1,0\nv 2 1\n1,0\n", "line 5: graph has no vertex 2"),
     ("v 0 1\n1,0\nv 1 -1\n", "line 3: negative degree -1"),
-], ids=["duplicate", "unknown-vertex", "negative-degree"])
+    ("v 0 1\n1,0\nv 1 2\n1,0 0,0\n0,0 1,0\n", "line 3: coin block 1 has degree 2, vertex has 1"),
+], ids=["duplicate", "unknown-vertex", "negative-degree", "wrong-degree"])
 def test_coin_file_rejects_bad_blocks_with_line_numbers(text, message):
     with pytest.raises(ValueError, match=message):
         CoinAssignment.from_text(single_edge(), text)
@@ -303,7 +345,7 @@ def test_coin_assignment_copies_caller_blocks():
     block = np.eye(1, dtype=np.complex128)
     cs = CoinAssignment(g, [block, block])
     block[0, 0] = 2.0
-    assert cs.matrix(0)[0, 0] == 1.0 and cs.matrix(1)[0, 0] == 1.0
+    assert cs.matrices[0][0, 0] == 1.0 and cs.matrices[1][0, 0] == 1.0
 
 
 def test_state_amplitudes_are_read_only():
