@@ -123,19 +123,17 @@ def run_simulate(
 # ---------------------------------------------------------------------------
 
 def _random_port_graph(rng: np.random.Generator, max_ports: int) -> PortGraph:
-    graph = PortGraph()
     n = int(rng.integers(2, 8))
-    graph.add_vertices(n)
-    edges = int(rng.integers(n - 1, max(n, max_ports // 2 - n)))
-    for _ in range(edges):
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        graph.connect(u, v)
+    count = int(rng.integers(n - 1, max(n, max_ports // 2 - n)))
+    edges = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(count)]
+    # give each port-less vertex an edge, in vertex order; an edge drawn
+    # for one vertex may already give a later one its port
+    used = {w for edge in edges for w in edge}
     for v in range(n):
-        if graph.degree(v) == 0:
-            graph.connect(v, int(rng.integers(n)))
-    graph.freeze()
-    return graph
+        if v not in used:
+            edges.append((v, int(rng.integers(n))))
+            used.update(edges[-1])
+    return PortGraph(edges)
 
 def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -155,6 +153,7 @@ def run_verify(
     ``inject_coin_defect`` corrupts one coin matrix before the unitarity
     check so the failure path itself can be exercised.
     """
+    machines.check_cut(cutpoint, margin)
     stream = stream or sys.stdout
     failures = 0
 

@@ -5,10 +5,11 @@ Every edge end carries a local label (a "port") at its vertex, numbered
 and the shift step of a coined walk moves amplitude from each port to the
 paired port at the other end of the edge.
 
-Port numbers are assigned by append order: each :meth:`PortGraph.connect`
-call appends one new port at each endpoint (two at the same vertex for a
-self-loop).  Rebuilding a graph with the same sequence of calls therefore
-reproduces the port layout, and with it every state vector, bit for bit.
+A graph is its ordered edge list.  Port numbers follow that order: each
+edge takes the next free port at each endpoint (two consecutive ports at
+the same vertex for a self-loop).  Building a graph from the same edge
+list therefore reproduces the port layout, and with it every state
+vector, bit for bit.
 
 Parallel edges and self-loops are allowed.  A self-loop occupies two
 distinct ports on its vertex, paired with each other.
@@ -16,100 +17,71 @@ distinct ports on its vertex, paired with each other.
 
 from __future__ import annotations
 
+from itertools import chain
+from typing import Iterable
+
 import numpy as np
 
 __all__ = ["PortGraph"]
 
 
 class PortGraph:
-    """Mutable-until-frozen port graph.
+    """Immutable port graph, built in one call from its ordered edge list.
 
-    Build with :meth:`add_vertex` and :meth:`connect`, then call
-    :meth:`freeze` before running walks on it.  Frozen graphs reject
-    further mutation and may be shared freely between threads.  The flat
-    state layout (:meth:`offset`, :meth:`state_index`, :meth:`shift_target`,
-    :meth:`shift_permutation`, :meth:`degree_classes`) exists only on
-    frozen graphs.
+    The vertices are ``0 .. n-1``, n being the largest id + 1, and each of
+    them must carry a port.  The flat state layout (:meth:`offset`,
+    :meth:`state_index`, :meth:`shift_target`, :meth:`shift_permutation`,
+    :meth:`degree_classes`) is derived once, into read-only arrays, so a
+    graph may be shared freely between threads.
     """
 
-    __slots__ = ("_degrees", "_edges", "_frozen", "_offsets", "_shift", "_classes")
+    __slots__ = ("_degrees", "_edges", "_offsets", "_shift", "_classes")
 
-    def __init__(self) -> None:
-        self._degrees: list[int] = []
-        self._edges: list[tuple[int, int]] = []
-        self._frozen = False
-        self._offsets: np.ndarray | None = None
-        self._shift: np.ndarray | None = None
+    def __init__(self, edges: Iterable[tuple[int, int]]):
+        """Build the graph of ``edges``, a sequence of ``(u, v)`` pairs.
 
-    # -- construction ------------------------------------------------------
-
-    def add_vertex(self) -> int:
-        """Append a new vertex with no ports and return its id."""
-        if self._frozen:
-            raise RuntimeError("graph is frozen")
-        self._degrees.append(0)
-        return len(self._degrees) - 1
-
-    def add_vertices(self, count: int) -> list[int]:
-        return [self.add_vertex() for _ in range(count)]
-
-    def connect(self, u: int, v: int) -> tuple[int, int]:
-        """Add an edge between ``u`` and ``v``; return the new port indices.
-
-        For ``u == v`` the edge is a self-loop and the returned ports are
-        two consecutive ports on that vertex, paired together.
+        Raises ``ValueError`` for an empty list, an edge that is not a pair
+        of integer ids, a negative id, or an id below the largest that no
+        edge uses (a vertex with no ports has no basis state and cannot be
+        written to the edge-list format).
         """
-        if self._frozen:
-            raise RuntimeError("graph is frozen")
-        for w in (u, v):
-            if not 0 <= w < len(self._degrees):
-                raise ValueError(f"unknown vertex id {w}")
-        cu = self._degrees[u]
-        self._degrees[u] += 1
-        cv = self._degrees[v]
-        self._degrees[v] += 1
-        self._edges.append((u, v))
-        return cu, cv
-
-    def freeze(self) -> "PortGraph":
-        """Lock the graph and precompute the flat state layout.
-
-        Every vertex must carry at least one port: a port-less vertex has
-        no basis state and cannot be written to the edge-list format.  The
-        port pairing is derived here from the edge order: the ends
-        ``u0 v0 u1 v1 ...`` sorted stably by vertex are the flat ports in
-        order, and the two ends of each edge are paired.
-        """
-        if not self._frozen:
-            for v, d in enumerate(self._degrees):
-                if d == 0:
-                    raise ValueError(f"vertex {v} has no ports")
-            self._frozen = True
-            offsets = np.zeros(len(self._degrees) + 1, dtype=np.int64)
-            np.cumsum(self._degrees, out=offsets[1:])
-            self._offsets = offsets
-            ends = np.array(self._edges, dtype=np.int64).reshape(-1)
-            port = np.empty_like(ends)
-            port[np.argsort(ends, kind="stable")] = np.arange(len(ends))
-            shift = np.empty_like(port)
-            shift[port[0::2]] = port[1::2]
-            shift[port[1::2]] = port[0::2]
-            self._shift = shift
-            degrees = np.array(self._degrees)
-            classes = []
-            for d in dict.fromkeys(self._degrees):
-                vs = np.flatnonzero(degrees == d)
-                idx = offsets[vs][:, None] + np.arange(d)
-                vs.flags.writeable = idx.flags.writeable = False
-                classes.append((vs, idx))
-            self._classes = tuple(classes)
-        return self
+        self._edges = tuple(map(tuple, edges))
+        if not self._edges:
+            raise ValueError("graph has no edges")
+        # the ids are 0 .. n-1 exactly when n distinct ids span 0 .. n-1;
+        # checked on Python ints, before a huge id reaches numpy
+        seen = set(chain.from_iterable(self._edges))
+        n = len(seen)
+        if min(seen) < 0:
+            raise ValueError(f"vertex ids must be non-negative, got {min(seen)}")
+        if max(seen) != n - 1:
+            gap = next(w for w in range(n) if w not in seen)
+            raise ValueError(f"vertex {gap} has no ports")
+        ends = np.array(self._edges)
+        if ends.shape != (len(self._edges), 2) or ends.dtype.kind not in "iu":
+            raise ValueError("every edge must be a (u, v) pair of integer ids")
+        ends = ends.reshape(-1)
+        degrees = np.bincount(ends, minlength=n)
+        self._degrees = tuple(degrees.tolist())
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        # the ends u0 v0 u1 v1 ... sorted stably by vertex are the flat ports
+        # in order, and the two ends of each edge are paired
+        port = np.empty_like(ends)
+        port[np.argsort(ends, kind="stable")] = np.arange(len(ends))
+        shift = np.empty_like(port)
+        shift[port[0::2]] = port[1::2]
+        shift[port[1::2]] = port[0::2]
+        classes = []
+        for d in dict.fromkeys(self._degrees):
+            vs = np.flatnonzero(degrees == d)
+            idx = offsets[vs][:, None] + np.arange(d)
+            classes.append((vs, idx))
+        for array in (offsets, shift, *chain.from_iterable(classes)):
+            array.flags.writeable = False
+        self._offsets, self._shift, self._classes = offsets, shift, tuple(classes)
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     @property
     def num_vertices(self) -> int:
@@ -129,18 +101,16 @@ class PortGraph:
         return self._degrees[v]
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(self._degrees)
+        return self._degrees
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges in insertion order (the order that fixes port labels)."""
-        return tuple(self._edges)
+        """Edges in the order that fixes the port labels."""
+        return self._edges
 
     # -- flat state layout ---------------------------------------------------
 
     def offset(self, v: int) -> int:
         """Start of vertex ``v``'s block in the flat amplitude vector."""
-        if self._offsets is None:
-            raise RuntimeError("graph is not frozen")
         if not 0 <= v < len(self._degrees):
             raise ValueError(f"unknown vertex id {v}")
         return int(self._offsets[v])
@@ -157,26 +127,22 @@ class PortGraph:
         return w, target - int(self._offsets[w])
 
     def shift_permutation(self) -> np.ndarray:
-        """Self-inverse permutation of flat indices realising the shift."""
-        if self._shift is None:
-            raise RuntimeError("graph is not frozen")
+        """Read-only, self-inverse permutation of flat indices realising the shift."""
         return self._shift
 
     def degree_classes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per degree d, in order of first appearance: the class's vertex ids,
         shape ``(k,)``, and row by row their flat port indices, ``(k, d)``."""
-        if not self._frozen:
-            raise RuntimeError("graph is not frozen")
         return self._classes
 
     # -- serialization -------------------------------------------------------
 
     def to_edge_lines(self) -> str:
-        """One line per edge, ``u v``, in insertion order.
+        """One line per edge, ``u v``, in edge order.
 
         Port labels are implied by line order, so parsing the output with
-        :meth:`from_edge_lines` reproduces any graph that can be frozen
-        exactly, vertex count included.
+        :meth:`from_edge_lines` reproduces the graph exactly, vertex count
+        included.
         """
         return "".join(f"{u} {v}\n" for u, v in self._edges)
 
@@ -184,10 +150,9 @@ class PortGraph:
     def from_edge_lines(cls, text: str) -> "PortGraph":
         """Parse the edge-list format written by :meth:`to_edge_lines`.
 
-        The result is frozen.  Vertex ids run from 0 to the largest id in
-        the file, and each of them must appear in some edge.
+        Malformed lines are rejected with their line number; the graph
+        rules are the constructor's.
         """
-        graph = cls()
         pending: list[tuple[int, int]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -205,26 +170,15 @@ class PortGraph:
             if u < 0 or v < 0:
                 raise ValueError(f"line {lineno}: vertex ids must be non-negative")
             pending.append((u, v))
-        # the ids in use are 0 .. n-1 exactly when the smallest unused one is n
-        seen = {w for edge in pending for w in edge}
-        gap = next(w for w in range(len(seen) + 1) if w not in seen)
-        if gap < len(seen):
-            raise ValueError(f"vertex {gap} has no ports")
-        graph.add_vertices(len(seen))
-        for u, v in pending:
-            graph.connect(u, v)
-        return graph.freeze()
+        return cls(pending)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PortGraph):
             return NotImplemented
-        return self._degrees == other._degrees and self._edges == other._edges
+        return self._edges == other._edges
 
     def __hash__(self) -> int:
-        return hash((tuple(self._degrees), tuple(self._edges)))
+        return hash(self._edges)
 
     def __repr__(self) -> str:
-        return (
-            f"<PortGraph |V|={self.num_vertices} |E|={len(self._edges)}"
-            f"{' frozen' if self._frozen else ''}>"
-        )
+        return f"<PortGraph |V|={self.num_vertices} |E|={len(self._edges)}>"

@@ -15,15 +15,17 @@ The accepted languages:
 * ab: the alternating words (ab)^m,
 * single fixed words (sequential only, swap coins throughout).
 
-Connect-order contracts
------------------------
+Edge-order contracts
+--------------------
 Port labels, and with them every amplitude vector, are fixed by the order
-of ``connect`` calls.  Each constructor documents its order below and
-never varies it, so rebuilding a machine reproduces states bit for bit.
+of the edge list a graph is built from.  Each constructor documents its
+order below and never varies it, so rebuilding a machine reproduces states
+bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +52,7 @@ __all__ = [
     "member_word",
     "acceptance_probability",
     "word_acceptance",
+    "check_cut",
     "classify",
     "empirical_error_margin",
     "export_machine",
@@ -118,7 +121,7 @@ def _build_spatial(family: str, pairs: int, surplus: bool) -> Machine:
     2/n for a hub with both rails populated, 1/(2n) for a hub with one,
     and 0 otherwise; the surplus symbol of an odd n only dilutes this.
 
-    Connect order: per pair, a-rail hub edge, b-rail hub edge, the two
+    Edge order: per pair, a-rail hub edge, b-rail hub edge, the two
     hub wire edges; then every wire accepting-vertex edge in pair order;
     then the off-rail sink edges in pair order; then the surplus pair's
     sink edges; for a machine with no pairs, one self-loop on the
@@ -132,16 +135,15 @@ def _build_spatial(family: str, pairs: int, surplus: bool) -> Machine:
         raise ValueError("spatial machines need at least one symbol pair")
     n = 2 * pairs + (1 if surplus else 0)
 
-    graph = PortGraph()
-    rails = [(graph.add_vertex(), graph.add_vertex()) for _ in range(n)]
-    hubs = []
-    wires = []
+    ids = itertools.count()
+    rails = [(next(ids), next(ids)) for _ in range(n)]
+    hubs, wires = [], []
     for _ in range(pairs):
-        hubs.append(graph.add_vertex())
-        wires.append((graph.add_vertex(), graph.add_vertex()))
-    accept = graph.add_vertex()
-    sinks = [graph.add_vertex() for _ in range(pairs)]
-    surplus_sink = graph.add_vertex() if surplus else None
+        hubs.append(next(ids))
+        wires.append((next(ids), next(ids)))
+    accept = next(ids)
+    sinks = [next(ids) for _ in range(pairs)]
+    surplus_sink = next(ids)  # a vertex only when its edges are added below
 
     if family == "spatial-eq":
         pairing = [(j, pairs + j) for j in range(pairs)]
@@ -150,23 +152,17 @@ def _build_spatial(family: str, pairs: int, surplus: bool) -> Machine:
     else:
         raise ValueError(f"unknown spatial family {family!r}")
 
-    for j, (a_pos, b_pos) in enumerate(pairing):
-        graph.connect(rails[a_pos][0], hubs[j])
-        graph.connect(rails[b_pos][1], hubs[j])
-        graph.connect(hubs[j], wires[j][0])
-        graph.connect(hubs[j], wires[j][1])
-    for j in range(pairs):
-        graph.connect(wires[j][0], accept)
-        graph.connect(wires[j][1], accept)
-    for j, (a_pos, b_pos) in enumerate(pairing):
-        graph.connect(rails[a_pos][1], sinks[j])
-        graph.connect(rails[b_pos][0], sinks[j])
+    edges = []
+    for (a_pos, b_pos), hub, (w0, w1) in zip(pairing, hubs, wires):
+        edges += [(rails[a_pos][0], hub), (rails[b_pos][1], hub), (hub, w0), (hub, w1)]
+    edges += [(w, accept) for pair in wires for w in pair]
+    for (a_pos, b_pos), sink in zip(pairing, sinks):
+        edges += [(rails[a_pos][1], sink), (rails[b_pos][0], sink)]
     if surplus:
-        graph.connect(rails[n - 1][0], surplus_sink)
-        graph.connect(rails[n - 1][1], surplus_sink)
+        edges += [(rails[n - 1][0], surplus_sink), (rails[n - 1][1], surplus_sink)]
     if pairs == 0:
-        graph.connect(accept, accept)
-    graph.freeze()
+        edges.append((accept, accept))
+    graph = PortGraph(edges)
 
     return Machine(
         family=family,
@@ -235,30 +231,22 @@ def _sequential_machine(
     holders park arriving amplitude in a ring of ``hold`` self-loops long
     enough that nothing leaves before measurement.
 
-    Connect order: the two chain-head stubs, the chain double links from
-    the far end down (a link then b link), then the edges ``wire`` adds
-    (called with the graph, chain vertex 0, the middle vertices and the
-    two holders), then the accepting holder's self-loops and the
-    rejecting holder's self-loops.
+    Edge order: the two chain-head stubs, the chain double links from
+    the far end down (a link then b link), then the edges ``wire`` returns
+    (called with chain vertex 0, the middle vertices and the two
+    holders), then the accepting holder's self-loops and the rejecting
+    holder's self-loops.
     """
     n = len(chain_coins)
-    graph = PortGraph()
-    chain = graph.add_vertices(n)
-    stubs = graph.add_vertices(2)
-    middle = graph.add_vertices(len(middle_coins))
-    accept = graph.add_vertex()
-    reject = graph.add_vertex()
+    middle = range(n + 2, n + 2 + len(middle_coins))
+    accept, reject = middle.stop, middle.stop + 1
 
-    for stub in stubs:
-        graph.connect(stub, chain[n - 1])
+    edges = [(stub, n - 1) for stub in (n, n + 1)]
     for k in range(n - 1, 0, -1):
-        graph.connect(chain[k], chain[k - 1])
-        graph.connect(chain[k], chain[k - 1])
-    wire(graph, chain[0], middle, accept, reject)
-    for holder in (accept, reject):
-        for _ in range(hold):
-            graph.connect(holder, holder)
-    graph.freeze()
+        edges += [(k, k - 1)] * 2
+    edges += wire(0, middle, accept, reject)
+    edges += [(accept, accept)] * hold + [(reject, reject)] * hold
+    graph = PortGraph(edges)
 
     stub = coinlib.identity(1)
     holders = [_holding_vertex_coin(graph.degree(v)) for v in (accept, reject)]
@@ -269,7 +257,7 @@ def _sequential_machine(
         word_length=n,
         graph=graph,
         coins=coin_set,
-        input_slots=tuple(chain),
+        input_slots=tuple(range(n)),
         accepting=frozenset({accept}),
         rejecting=frozenset({reject}),
         steps=steps,
@@ -289,18 +277,14 @@ def _finish_sequential(family: str, n: int, delay: int, steps: int, hold: int) -
     on the rejecting holder.
 
     Middle vertices: the delay path, then the interference vertex.  Its
-    connect order (after the chain): leave-a to the delay path, the delay
+    edge order (after the chain): leave-a to the delay path, the delay
     path, delay to the interference vertex, leave-b to the interference
     vertex, its accept edge, its reject edge.
     """
-    def wire(graph, head, middle, accept, reject):
+    def wire(head, middle, accept, reject):
         path = [head, *middle]  # the delay path, then the interference vertex
-        for u, v in zip(path, path[1:]):
-            graph.connect(u, v)
         mixer = middle[-1]
-        graph.connect(head, mixer)
-        graph.connect(mixer, accept)
-        graph.connect(mixer, reject)
+        return [*zip(path, path[1:]), (head, mixer), (mixer, accept), (mixer, reject)]
 
     pass_through = coinlib.tensor(coinlib.pauli_x(), coinlib.identity(2))
     mixer_coin = coinlib.tensor(coinlib.pauli_x(), coinlib.hadamard())
@@ -349,7 +333,7 @@ def sequential_word(word: str) -> Machine:
     Acceptance equals (number of matching positions) / n, reaching 1 only
     for the target word, after n + 2 steps.
 
-    Connect order: the two chain-head stubs, the chain double links from
+    Edge order: the two chain-head stubs, the chain double links from
     the far end down, the two rail paths (accepting side first when the
     target starts with a, rejecting side first otherwise), their holder
     edges, then the holders' self-loops.
@@ -360,15 +344,14 @@ def sequential_word(word: str) -> Machine:
     encoding.check_word(word)
     n = len(word)
 
-    def wire(graph, head, middle, accept, reject):
+    def wire(head, middle, accept, reject):
         keep_path, drop_path = middle[:2], middle[2:]
         # leave-a, then leave-b: the target's first symbol goes to the accepting side
         rails = [keep_path, drop_path] if word[0] == "a" else [drop_path, keep_path]
-        for rail in rails:
-            graph.connect(head, rail[0])
+        edges = [(head, rail[0]) for rail in rails]
         for (first, last), holder in ((keep_path, accept), (drop_path, reject)):
-            graph.connect(first, last)
-            graph.connect(last, holder)
+            edges += [(first, last), (last, holder)]
+        return edges
 
     straight = coinlib.tensor(coinlib.pauli_x(), coinlib.identity(2))
     crossed = coinlib.tensor(coinlib.pauli_x(), coinlib.pauli_x())
@@ -443,13 +426,18 @@ class AcceptanceVerdict:
     verdict: str
 
 
-def classify(
-    machine: Machine, state: WalkState, cutpoint: float = 0.9, margin: float = 0.05
-) -> AcceptanceVerdict:
+def check_cut(cutpoint: float, margin: float) -> None:
+    """Reject a cut-point outside [0, 1) or a margin that is not positive and finite."""
     if not 0.0 <= cutpoint < 1.0:
         raise ValueError(f"cutpoint must be in [0, 1), got {cutpoint}")
     if not 0.0 < margin < math.inf:
         raise ValueError(f"margin must be positive and finite, got {margin}")
+
+
+def classify(
+    machine: Machine, state: WalkState, cutpoint: float = 0.9, margin: float = 0.05
+) -> AcceptanceVerdict:
+    check_cut(cutpoint, margin)
     p = acceptance_probability(machine, state)
     if p > cutpoint + margin:
         verdict = "accept"

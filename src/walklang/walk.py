@@ -8,7 +8,7 @@ from ``psi`` are ``evolve(psi, coins, T)``.
 
 Everything here is pure: state amplitudes and coin blocks are read-only
 arrays and each operation returns a new state, so walks over a shared
-frozen graph can run concurrently.
+graph can run concurrently.
 """
 
 from __future__ import annotations
@@ -37,15 +37,13 @@ NORM_GUARD = 1e-9
 
 
 class WalkState:
-    """Normalised amplitude vector over the ports of a frozen graph."""
+    """Normalised amplitude vector over the ports of a graph."""
 
     __slots__ = ("_graph", "_amplitudes")
     graph = property(lambda self: self._graph)
     amplitudes = property(lambda self: self._amplitudes, doc="Read-only amplitudes.")
 
     def __init__(self, graph: PortGraph, amplitudes: np.ndarray, _checked: bool = False):
-        if not graph.frozen:
-            raise ValueError("a walk state needs a frozen graph")
         amps = np.array(amplitudes, dtype=np.complex128, copy=True)
         if amps.shape != (graph.num_ports,):
             raise ValueError(
@@ -55,7 +53,7 @@ class WalkState:
             norm = np.linalg.norm(amps)
             # written so that a NaN or infinite norm fails too
             if not abs(norm - 1.0) <= NORM_GUARD:
-                raise ValueError(f"state is not normalised (norm {norm!r})")
+                raise ValueError(f"state is not normalised (norm {float(norm)})")
         amps.flags.writeable = False
         self._graph = graph
         self._amplitudes = amps
@@ -96,8 +94,6 @@ class CoinAssignment:
     matrices = property(lambda self: self._matrices, doc="Read-only coin blocks.")
 
     def __init__(self, graph: PortGraph, matrices: Sequence[np.ndarray]):
-        if not graph.frozen:
-            raise ValueError("a coin assignment needs a frozen graph")
         if len(matrices) != graph.num_vertices:
             raise ValueError(
                 f"{len(matrices)} coin blocks for {graph.num_vertices} vertices"

@@ -10,11 +10,7 @@ from walklang import coins as coinlib
 
 def line_graph(n: int) -> PortGraph:
     """Path of n vertices; interior vertices get ports [left, right]."""
-    g = PortGraph()
-    g.add_vertices(n)
-    for i in range(n - 1):
-        g.connect(i, i + 1)
-    return g.freeze()
+    return PortGraph([(i, i + 1) for i in range(n - 1)])
 
 
 def hadamard_line_coins(graph: PortGraph) -> CoinAssignment:
@@ -34,14 +30,30 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> PortGraph:
-    g = PortGraph()
-    g.add_vertices(n)
-    for u, v in edges:
-        g.connect(u, v)
+    """The graph of ``edges``, plus an edge to ``v + 1`` for each port-less ``v < n``."""
+    edges = list(edges)
     for v in range(n):
-        if g.degree(v) == 0:
-            g.connect(v, (v + 1) % n)
-    return g.freeze()
+        if all(v not in edge for edge in edges):
+            edges.append((v, (v + 1) % n))
+    return PortGraph(edges)
+
+
+def counted_pairing(edges: list[tuple[int, int]]) -> dict[tuple[int, int], tuple[int, int]]:
+    """Port pairing by a per-vertex port counter, one edge at a time.
+
+    An oracle for ``PortGraph.shift_permutation``: each edge takes the next
+    free port at ``u``, then at ``v``, and its two ends are paired.
+    """
+    ports: dict[int, int] = {}
+    pairing = {}
+    for u, v in edges:
+        cu = ports.get(u, 0)
+        ports[u] = cu + 1
+        cv = ports.get(v, 0)
+        ports[v] = cv + 1
+        pairing[(u, cu)] = (v, cv)
+        pairing[(v, cv)] = (u, cu)
+    return pairing
 
 
 def all_words(n: int) -> list[str]:

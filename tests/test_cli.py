@@ -210,7 +210,17 @@ def test_verify_fails_when_no_graph_is_compared():
 @pytest.mark.parametrize("margin", ["nan", "inf"])
 def test_verify_rejects_margin_that_is_not_finite(capsys, margin):
     assert main(["verify", "--epsilon", margin]) == 2
-    assert "margin must be positive and finite" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected before the first check runs
+    assert "margin must be positive and finite" in err
+
+
+@pytest.mark.parametrize("cutpoint", ["1.5", "-0.1", "nan"])
+def test_verify_rejects_cutpoint_outside_the_unit_interval(capsys, cutpoint):
+    assert main(["verify", "--lambda", cutpoint]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"cutpoint must be in [0, 1), got {cutpoint}" in err
 
 
 def test_cli_usage_error_exit_code():
@@ -240,6 +250,20 @@ def test_simulate_rejects_bad_values_and_blocks(tmp_path, capsys, coins_text, st
     ])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_simulate_rejects_empty_graph_file(tmp_path, capsys):
+    for name in ("graph.txt", "coins.txt", "state.txt"):
+        (tmp_path / name).write_text("")
+    code = main([
+        "simulate",
+        "--graph", str(tmp_path / "graph.txt"),
+        "--coins", str(tmp_path / "coins.txt"),
+        "--state", str(tmp_path / "state.txt"),
+        "--steps", "1",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "walklang: error: graph has no edges\n"
 
 
 def test_simulate_rejects_graph_with_portless_vertex(tmp_path, capsys):

@@ -4,89 +4,63 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from walklang import PortGraph
+from walklang import PortGraph, spatial_eq
 
-from helpers import graph_from_edges
+from helpers import counted_pairing, graph_from_edges
 
 
-def test_add_vertex_sequential_ids():
-    g = PortGraph()
-    assert g.add_vertex() == 0
-    assert g.num_vertices == 1
-    g.add_vertices(2)
-    assert g.add_vertex() == 3
+def test_vertex_count_is_the_largest_id_plus_one():
+    g = PortGraph([(0, 3), (1, 2)])
     assert g.num_vertices == 4
-
-
-def test_add_vertex_ids_distinct():
-    g = PortGraph()
-    assert g.add_vertex() != g.add_vertex()
+    assert list(g.vertices) == [0, 1, 2, 3]
 
 
 def test_connect_first_edge_ports():
-    g = PortGraph()
-    g.add_vertices(2)
-    assert g.connect(0, 1) == (0, 0)
+    g = PortGraph([(0, 1)])
     assert g.degree(0) == 1 and g.degree(1) == 1
+    assert g.shift_target(0, 0) == (1, 0)
 
 
 def test_self_loop_uses_two_ports():
-    g = PortGraph()
-    g.add_vertex()
-    g.connect(0, 0)
-    cu, cv = g.connect(0, 0)
-    assert (cu, cv) == (2, 3)
+    g = PortGraph([(0, 0), (0, 0)])
     assert g.degree(0) == 4
-    g.freeze()
     assert g.shift_target(0, 2) == (0, 3)
     assert g.shift_target(0, 3) == (0, 2)
 
 
 def test_two_edges_pairing_table():
     # edges (0,1) then (0,2): vertex 0 carries ports 0 and 1
-    g = PortGraph()
-    g.add_vertices(3)
-    g.connect(0, 1)
-    g.connect(0, 2)
+    g = PortGraph([(0, 1), (0, 2)])
     assert g.degree(0) == 2
-    g.freeze()
     assert g.shift_target(0, 0) == (1, 0)
     assert g.shift_target(0, 1) == (2, 0)
     assert g.shift_target(2, 0) == (0, 1)
 
 
 def test_three_cycle_pairing_table():
-    g = PortGraph()
-    g.add_vertices(3)
-    g.connect(0, 1)
-    g.connect(1, 2)
-    g.connect(2, 0)
-    g.freeze()
+    g = PortGraph([(0, 1), (1, 2), (2, 0)])
     assert g.shift_target(2, 1) == (0, 1)
     assert g.shift_target(0, 0) == (1, 0)
     assert g.shift_target(1, 1) == (2, 0)
 
 
 def test_shift_single_edge():
-    g = PortGraph()
-    g.add_vertices(2)
-    g.connect(0, 1)
-    g.freeze()
+    g = PortGraph([(0, 1)])
     assert g.shift_target(0, 0) == (1, 0)
 
 
 def test_connect_unknown_vertex():
-    g = PortGraph()
-    g.add_vertex()
+    g = PortGraph([(0, 1)])
     with pytest.raises(ValueError, match="unknown vertex"):
-        g.connect(0, 5)
+        g.degree(5)
+    with pytest.raises(ValueError, match="vertex ids must be non-negative"):
+        PortGraph([(0, 1), (-1, 0)])
+    with pytest.raises(ValueError, match="line 2: vertex ids must be non-negative"):
+        PortGraph.from_edge_lines("0 1\n-1 0\n")
 
 
 def test_shift_target_invalid_port():
-    g = PortGraph()
-    g.add_vertices(2)
-    g.connect(0, 1)
-    g.freeze()
+    g = PortGraph([(0, 1)])
     with pytest.raises(ValueError, match="invalid port"):
         g.shift_target(0, 1)
 
@@ -98,15 +72,30 @@ def test_offset_rejects_unknown_vertex():
             g.offset(v)
 
 
-def test_frozen_graph_rejects_mutation():
-    g = PortGraph()
-    g.add_vertices(2)
-    g.connect(0, 1)
-    g.freeze()
-    with pytest.raises(RuntimeError):
-        g.add_vertex()
-    with pytest.raises(RuntimeError):
-        g.connect(0, 1)
+def test_empty_edge_list_is_rejected():
+    with pytest.raises(ValueError, match="graph has no edges"):
+        PortGraph([])
+    for text in ("", "\n# only a comment\n"):
+        with pytest.raises(ValueError, match="graph has no edges"):
+            PortGraph.from_edge_lines(text)
+
+
+def test_edges_must_be_pairs():
+    for edges in ([(0, 1, 2)], [(0.0, 1.0)], [(False, True)]):
+        with pytest.raises(ValueError, match=r"\(u, v\) pair of integer ids"):
+            PortGraph(edges)
+
+
+def test_shift_array_is_read_only():
+    # a writeable shift let one write pair port 0 with itself, and the walk lose norm
+    g = spatial_eq(1).graph
+    assert g.shift_target(0, 0) == (4, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        g.shift_permutation()[0] = 0
+    assert g.shift_target(0, 0) == (4, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        g._offsets[1] = 0
+    assert g.offset(1) == 1
 
 
 edge_cases = st.integers(2, 6).flatmap(
@@ -133,6 +122,16 @@ def test_shift_is_self_inverse_bijection(case):
 
 
 @given(edge_cases)
+def test_shift_matches_a_per_edge_port_counter(case):
+    n, edges = case
+    g = graph_from_edges(n, edges)
+    pairing = counted_pairing(list(g.edges()))
+    assert len(pairing) == g.num_ports
+    for (v, c), (w, d) in pairing.items():
+        assert g.shift_permutation()[g.state_index(v, c)] == g.state_index(w, d)
+
+
+@given(edge_cases)
 def test_degree_sum_counts_edge_ends(case):
     n, edges = case
     g = graph_from_edges(n, edges)
@@ -140,12 +139,8 @@ def test_degree_sum_counts_edge_ends(case):
 
 
 def test_edge_lines_round_trip():
-    g = PortGraph()
-    g.add_vertices(4)
-    g.connect(0, 1)
-    g.connect(0, 1)  # parallel edge
-    g.connect(2, 2)  # self-loop
-    g.connect(3, 0)
+    # a parallel edge, a self-loop, then an edge back to 0
+    g = PortGraph([(0, 1), (0, 1), (2, 2), (3, 0)])
     text = g.to_edge_lines()
     back = PortGraph.from_edge_lines(text)
     assert back == g
@@ -161,17 +156,17 @@ def test_edge_lines_parse_errors_carry_line_numbers():
 
 
 def test_freeze_rejects_portless_vertex():
-    g = PortGraph()
-    g.add_vertices(3)
-    g.connect(0, 1)
     with pytest.raises(ValueError, match="vertex 2 has no ports"):
-        g.freeze()
-    assert not g.frozen
+        PortGraph([(0, 1), (1, 3)])
+    # an id too large for int64 is a gap too, found before numpy sees it
+    with pytest.raises(ValueError, match="vertex 1 has no ports"):
+        PortGraph([(0, 10**20)])
 
 
 def test_edge_lines_with_a_gap_are_rejected():
-    with pytest.raises(ValueError, match="vertex 1 has no ports"):
-        PortGraph.from_edge_lines("0 2\n")
+    for text in ("0 2\n", "0 99999999999999999999\n"):
+        with pytest.raises(ValueError, match="vertex 1 has no ports"):
+            PortGraph.from_edge_lines(text)
 
 
 def test_edge_lines_gap_is_rejected_without_allocating_up_to_the_largest_id():
@@ -179,22 +174,12 @@ def test_edge_lines_gap_is_rejected_without_allocating_up_to_the_largest_id():
     try:
         with pytest.raises(ValueError, match="vertex 1 has no ports"):
             PortGraph.from_edge_lines("0 1000000\n")
+        with pytest.raises(ValueError, match="vertex 1 has no ports"):
+            PortGraph([(0, 1_000_000)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-
-
-def test_layout_needs_a_frozen_graph():
-    g = PortGraph()
-    g.add_vertices(2)
-    g.connect(0, 1)
-    with pytest.raises(RuntimeError, match="not frozen"):
-        g.offset(1)
-    with pytest.raises(RuntimeError, match="not frozen"):
-        g.shift_permutation()
-    with pytest.raises(RuntimeError, match="not frozen"):
-        g.shift_target(0, 0)
 
 
 @given(edge_cases)
@@ -204,4 +189,4 @@ def test_edge_lines_round_trip_keeps_every_vertex(case):
     back = PortGraph.from_edge_lines(g.to_edge_lines())
     assert back == g
     assert back.num_vertices == g.num_vertices
-    assert back.frozen
+    assert np.array_equal(back.shift_permutation(), g.shift_permutation())

@@ -111,11 +111,7 @@ def test_reference_words():
 
 
 def two_port_state(x, y):
-    g = PortGraph()
-    g.add_vertices(2)
-    g.connect(0, 1)
-    g.freeze()
-    return WalkState(g, np.array([x, y], dtype=complex))
+    return WalkState(PortGraph([(0, 1)]), np.array([x, y], dtype=complex))
 
 
 def test_fidelity_basics():
