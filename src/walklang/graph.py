@@ -25,6 +25,11 @@ import numpy as np
 __all__ = ["PortGraph"]
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A copy of ``array`` over immutable bytes: no view of it can be made writeable."""
+    return np.ndarray(array.shape, array.dtype, array.tobytes())
+
+
 class PortGraph:
     """Immutable port graph, built in one call from its ordered edge list.
 
@@ -76,10 +81,9 @@ class PortGraph:
         for d in dict.fromkeys(self._degrees):
             vs = np.flatnonzero(degrees == d)
             idx = offsets[vs][:, None] + np.arange(d)
-            classes.append((vs, idx))
-        for array in (offsets, shift, *chain.from_iterable(classes)):
-            array.flags.writeable = False
-        self._offsets, self._shift, self._classes = offsets, shift, tuple(classes)
+            classes.append((_frozen(vs), _frozen(idx)))
+        self._offsets, self._shift = _frozen(offsets), _frozen(shift)
+        self._classes = tuple(classes)
 
     # -- inspection --------------------------------------------------------
 

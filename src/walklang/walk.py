@@ -6,9 +6,9 @@ the order fixed by the graph.  One step applies the per-vertex coin
 blocks and then the shift permutation; ``T`` steps of a walk starting
 from ``psi`` are ``evolve(psi, coins, T)``.
 
-Everything here is pure: state amplitudes and coin blocks are read-only
-arrays and each operation returns a new state, so walks over a shared
-graph can run concurrently.
+Everything here is pure: state amplitudes and coin blocks are arrays over
+immutable buffers and each operation returns a new state, so walks over a
+shared graph can run concurrently.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coins import check_unitary
-from .graph import PortGraph
+from .graph import PortGraph, _frozen
 
 __all__ = [
     "WalkState",
@@ -44,7 +44,7 @@ class WalkState:
     amplitudes = property(lambda self: self._amplitudes, doc="Read-only amplitudes.")
 
     def __init__(self, graph: PortGraph, amplitudes: np.ndarray, _checked: bool = False):
-        amps = np.array(amplitudes, dtype=np.complex128, copy=True)
+        amps = np.asarray(amplitudes, dtype=np.complex128)
         if amps.shape != (graph.num_ports,):
             raise ValueError(
                 f"state has {amps.shape} amplitudes, graph has {graph.num_ports} ports"
@@ -54,9 +54,8 @@ class WalkState:
             # written so that a NaN or infinite norm fails too
             if not abs(norm - 1.0) <= NORM_GUARD:
                 raise ValueError(f"state is not normalised (norm {float(norm)})")
-        amps.flags.writeable = False
         self._graph = graph
-        self._amplitudes = amps
+        self._amplitudes = _frozen(amps)
 
     @classmethod
     def from_basis(cls, graph: PortGraph, v: int, c: int) -> "WalkState":
@@ -110,7 +109,7 @@ class CoinAssignment:
             check_unitary(block, f"coin at vertex {v}")
             # a unitary block whose only nonzero entries are d ones is a permutation
             routed[v] = np.count_nonzero(block) == d == np.count_nonzero(block == 1)
-            blocks.append(block)
+            blocks.append(np.ascontiguousarray(block))
         route = np.arange(graph.num_ports)
         views, kernel = {}, []
         for vs, idx in graph.degree_classes():
@@ -118,16 +117,17 @@ class CoinAssignment:
             m = len(vs) - int(np.count_nonzero(routed[vs]))
             vs, idx = vs[order].tolist(), idx[order]
             dst = graph.shift_permutation()[idx]
-            stack = np.stack([blocks[v] for v in vs])
-            stack.flags.writeable = False
+            # the class's blocks, copied once into immutable bytes
+            stack = np.ndarray((*idx.shape, idx.shape[1]), np.complex128,
+                               b"".join(blocks[v] for v in vs))
             # P[i, j] = 1 sends port o + j through port o + i to shift[o + i]
             route[dst[m:]] = np.take_along_axis(idx[m:], stack[m:].real.argmax(axis=2), 1)
             if m:
-                kernel.append((idx[:m], dst[:m], stack[:m]))
+                kernel.append((_frozen(idx[:m]), _frozen(dst[:m]), stack[:m]))
             views.update(zip(vs, stack))
         self._graph = graph
         self._matrices = tuple(views[v] for v in graph.vertices)
-        self._route = route
+        self._route = _frozen(route)
         self._kernel = tuple(kernel)
 
     @classmethod
@@ -153,56 +153,10 @@ class CoinAssignment:
     @classmethod
     def from_text(cls, graph: PortGraph, text: str) -> "CoinAssignment":
         """Parse :meth:`to_text` output: exactly one block per graph vertex."""
-        matrices: dict[int, np.ndarray] = {}
-        lines = text.splitlines()
-        i = 0
-        while i < len(lines):
-            line = lines[i].strip()
-            i += 1
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] != "v" or len(parts) != 3:
-                raise ValueError(f"line {i}: expected 'v <id> <degree>', got {line!r}")
-            try:
-                v, d = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ValueError(f"line {i}: bad block header {line!r}") from None
-            if not 0 <= v < graph.num_vertices:
-                raise ValueError(f"line {i}: graph has no vertex {v}")
-            if v in matrices:
-                raise ValueError(f"line {i}: second coin block for vertex {v}")
-            if d < 0:
-                raise ValueError(f"line {i}: negative degree {d} for vertex {v}")
-            if d != graph.degree(v):
-                raise ValueError(
-                    f"line {i}: coin block {v} has degree {d}, vertex has {graph.degree(v)}"
-                )
-            block = np.zeros((d, d), dtype=np.complex128)
-            for r in range(d):
-                if i >= len(lines):
-                    raise ValueError(f"line {i}: unexpected end of coin block {v}")
-                row = lines[i].strip().split()
-                i += 1
-                if len(row) != d:
-                    raise ValueError(
-                        f"line {i}: coin block {v} row has {len(row)} entries, wanted {d}"
-                    )
-                for cidx, cell in enumerate(row):
-                    try:
-                        re_s, im_s = cell.split(",")
-                        block[r, cidx] = complex(float(re_s), float(im_s))
-                    except ValueError:
-                        raise ValueError(
-                            f"line {i}: bad complex entry {cell!r}"
-                        ) from None
-            matrices[v] = block
-        missing = [v for v in graph.vertices if v not in matrices]
-        if missing:
-            raise ValueError(f"coin file is missing blocks for vertices {missing}")
+        blocks = _coin_blocks(graph, text)
         # huge entries overflow U†U to inf or nan, which the unitarity check rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            return cls(graph, [matrices[v] for v in graph.vertices])
+            return cls(graph, blocks)
 
 
 def step(state: WalkState, coins: CoinAssignment) -> WalkState:
@@ -286,20 +240,92 @@ def state_to_text(state: WalkState) -> str:
 
 
 def state_from_text(graph: PortGraph, text: str) -> WalkState:
-    amps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            re_s, im_s = line.split(",")
-            amps.append(complex(float(re_s), float(im_s)))
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad amplitude {raw!r}") from None
+    lines = text.splitlines()
+    cells = [line.strip() for line in lines]
+    kept = [n for n, cell in enumerate(cells) if cell and not cell.startswith("#")]
+    amps = _parse_cells([cells[n] for n in kept],
+                        lambda k: f"line {kept[k] + 1}: bad amplitude {lines[kept[k]]!r}")
     if len(amps) != graph.num_ports:
         raise ValueError(
             f"state file has {len(amps)} amplitudes, graph has {graph.num_ports} ports"
         )
     # huge amplitudes overflow the norm to inf, which the norm check rejects
     with np.errstate(over="ignore"):
-        return WalkState(graph, np.array(amps, dtype=np.complex128))
+        return WalkState(graph, amps)
+
+
+# every byte but the comma and the newline, which mark where cells split
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _read_cells(cells: list[str]) -> np.ndarray | None:
+    """The ``re,im`` cells as one complex128 vector, or None if one is bad.
+
+    A cell is one comma with a ``float`` literal on each side and no newline.
+    The commas and newlines of the joined cells must alternate, then ``float``
+    reads the 2n sides into float64 pairs, viewed as complex so no bit changes.
+    """
+    flat = "\n".join(cells)
+    marks = flat.encode("utf-8", "surrogatepass").translate(None, _NOT_MARKS)
+    if marks != (b",\n" * len(cells))[:-1]:
+        return None
+    sides = map(float, flat.replace(",", "\n").split("\n"))
+    try:
+        return np.fromiter(sides, np.float64, 2 * len(cells)).view(np.complex128)
+    except ValueError:
+        return None
+
+
+def _parse_cells(cells: list[str], error: Callable[[int], str]) -> np.ndarray:
+    """:func:`_read_cells`, raising ``ValueError(error(k))`` at the first bad cell k."""
+    values = _read_cells(cells)
+    if values is None:
+        # an error report, not a second parser: the first cell failing on its own
+        bad = next(k for k, cell in enumerate(cells) if _read_cells([cell]) is None)
+        raise ValueError(error(bad))
+    return values
+
+
+def _coin_blocks(graph: PortGraph, text: str) -> list[np.ndarray]:
+    """The blocks of a coin file in vertex order; each row is one :func:`_parse_cells`."""
+    matrices: dict[int, np.ndarray] = {}
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines):
+        line = lines[i].strip()
+        i += 1
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] != "v" or len(parts) != 3:
+            raise ValueError(f"line {i}: expected 'v <id> <degree>', got {line!r}")
+        try:
+            v, d = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ValueError(f"line {i}: bad block header {line!r}") from None
+        if not 0 <= v < graph.num_vertices:
+            raise ValueError(f"line {i}: graph has no vertex {v}")
+        if v in matrices:
+            raise ValueError(f"line {i}: second coin block for vertex {v}")
+        if d < 0:
+            raise ValueError(f"line {i}: negative degree {d} for vertex {v}")
+        if d != graph.degree(v):
+            raise ValueError(
+                f"line {i}: coin block {v} has degree {d}, vertex has {graph.degree(v)}"
+            )
+        block = np.empty((d, d), dtype=np.complex128)
+        for r in range(d):
+            if i >= len(lines):
+                raise ValueError(f"line {i}: unexpected end of coin block {v}")
+            row = lines[i].split()
+            i += 1
+            if len(row) != d:
+                raise ValueError(
+                    f"line {i}: coin block {v} row has {len(row)} entries, wanted {d}"
+                )
+            block[r] = _parse_cells(row, lambda k: f"line {i}: bad complex entry {row[k]!r}")
+        matrices[v] = block
+    missing = [v for v in graph.vertices if v not in matrices]
+    if missing:
+        raise ValueError(f"coin file is missing blocks for vertices {missing}")
+    return [matrices[v] for v in graph.vertices]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from walklang import CoinAssignment, PortGraph
+from walklang import CoinAssignment, PortGraph, WalkState
 from walklang import coins as coinlib
 
 
@@ -78,6 +78,83 @@ def reference_evolve(state, coins: CoinAssignment, steps: int) -> np.ndarray:
         amps = np.empty_like(coined)
         amps[perm] = coined
     return amps
+
+
+def reference_coin_blocks(graph: PortGraph, text: str) -> list[np.ndarray]:
+    """The blocks of a coin file in vertex order, read one cell at a time.
+
+    An oracle for the coin file parser: the same header checks, and for
+    each cell one ``split(",")``, two ``float`` calls and one ``complex``.
+    """
+    matrices: dict[int, np.ndarray] = {}
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines):
+        line = lines[i].strip()
+        i += 1
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] != "v" or len(parts) != 3:
+            raise ValueError(f"line {i}: expected 'v <id> <degree>', got {line!r}")
+        try:
+            v, d = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ValueError(f"line {i}: bad block header {line!r}") from None
+        if not 0 <= v < graph.num_vertices:
+            raise ValueError(f"line {i}: graph has no vertex {v}")
+        if v in matrices:
+            raise ValueError(f"line {i}: second coin block for vertex {v}")
+        if d < 0:
+            raise ValueError(f"line {i}: negative degree {d} for vertex {v}")
+        if d != graph.degree(v):
+            raise ValueError(
+                f"line {i}: coin block {v} has degree {d}, vertex has {graph.degree(v)}"
+            )
+        block = np.zeros((d, d), dtype=np.complex128)
+        for r in range(d):
+            if i >= len(lines):
+                raise ValueError(f"line {i}: unexpected end of coin block {v}")
+            row = lines[i].strip().split()
+            i += 1
+            if len(row) != d:
+                raise ValueError(
+                    f"line {i}: coin block {v} row has {len(row)} entries, wanted {d}"
+                )
+            for cidx, cell in enumerate(row):
+                try:
+                    re_s, im_s = cell.split(",")
+                    block[r, cidx] = complex(float(re_s), float(im_s))
+                except ValueError:
+                    raise ValueError(f"line {i}: bad complex entry {cell!r}") from None
+        matrices[v] = block
+    missing = [v for v in graph.vertices if v not in matrices]
+    if missing:
+        raise ValueError(f"coin file is missing blocks for vertices {missing}")
+    return [matrices[v] for v in graph.vertices]
+
+
+def reference_state_from_text(graph: PortGraph, text: str) -> WalkState:
+    """A state file read one line at a time, each cell on its own.
+
+    An oracle for ``walk.state_from_text``.
+    """
+    amps = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            re_s, im_s = line.split(",")
+            amps.append(complex(float(re_s), float(im_s)))
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad amplitude {raw!r}") from None
+    if len(amps) != graph.num_ports:
+        raise ValueError(
+            f"state file has {len(amps)} amplitudes, graph has {graph.num_ports} ports"
+        )
+    with np.errstate(over="ignore"):
+        return WalkState(graph, np.array(amps, dtype=np.complex128))
 
 
 def reference_vertex_probabilities(state) -> np.ndarray:

@@ -10,18 +10,21 @@ from walklang import (
     dense_step_matrix,
     evolve,
     inner_product,
+    spatial_eq,
     step,
     vertex_probability,
 )
 from walklang import coins
-from walklang.walk import state_from_text, state_to_text
+from walklang.walk import _coin_blocks, state_from_text, state_to_text
 
 from helpers import (
     graph_from_edges,
     haar_unitary,
     hadamard_line_coins,
     line_graph,
+    reference_coin_blocks,
     reference_evolve,
+    reference_state_from_text,
 )
 
 
@@ -356,3 +359,128 @@ def test_states_and_coin_assignments_reject_attribute_rebinding():
                              (cs, "matrices", ()), (cs, "graph", single_edge())):
         with pytest.raises(AttributeError):
             setattr(obj, attr, value)
+
+
+def test_arrays_cannot_be_made_writeable_again():
+    # a flag cleared on an array that owns its memory could be set again, and a
+    # write then paired port 0 with itself or corrupted the stacks evolve multiplies
+    machine = spatial_eq(1)
+    g, cs = machine.graph, machine.coins
+    state = WalkState.from_basis(g, 0, 0)
+    arrays = [g.shift_permutation(), g._offsets, *(a for c in g.degree_classes() for a in c),
+              state.amplitudes, evolve(state, cs, 2).amplitudes,
+              WalkState(g, state.amplitudes).amplitudes,
+              state_from_text(g, state_to_text(state)).amplitudes,
+              *cs.matrices, cs._route, *(a for k in cs._kernel for a in k)]
+    for array in arrays:
+        while isinstance(array, np.ndarray):
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+            array = array.base
+    assert g.shift_target(0, 0) == (4, 0)
+
+
+def outcome(parse, *args):
+    """The bytes ``parse`` returns, or the message of the ``ValueError`` it raises."""
+    try:
+        result = parse(*args)
+    except ValueError as error:
+        return str(error)
+    if isinstance(result, WalkState):
+        return result.amplitudes.tobytes()
+    return [block.tobytes() for block in result]
+
+
+# cells that are valid (signed zeros, subnormals, nan and inf included, or
+# written with digit separators or non-ASCII digits) or malformed in ways a
+# comma-count check would miss; gaps are what str.split sees as whitespace
+side = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["-0.0", "5e-324", "-2.5e-320", "nan", "-inf", "1_0", "\u0661", "\uff11.5",
+                     "+.5", "1e400"]),
+)
+good_cell = st.tuples(side, side).map(",".join)
+bad_cell = st.one_of(
+    st.sampled_from(["1,", ",1", "1,,2", "1,2,3", ",", "x", "1", "1_,0", "1,0\x1c0,1",
+                     "\ud800,0"]),
+    st.text(st.sampled_from("01.,-e_x \u0661"), max_size=6),
+)
+gap = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2003", "\u3000", "\x1c", "\x85"])
+
+
+def spaced(cells, min_size, max_size):
+    """A row of ``cells``, each followed by a gap."""
+    return st.lists(st.tuples(cells, gap), min_size=min_size, max_size=max_size).map(
+        lambda pairs: "".join(c + g for c, g in pairs))
+
+
+# a two-port block: two rows of two good cells, or any rows of any cells
+coin_row = st.one_of(spaced(good_cell, 2, 2), spaced(st.one_of(good_cell, bad_cell), 0, 3))
+coin_rows = st.one_of(st.lists(coin_row, min_size=2, max_size=2), st.lists(coin_row, max_size=3))
+
+
+@given(coin_rows, st.one_of(st.just(["1,0 0,1", "0,1 1,0"]), coin_rows))
+@example(["1,2,3 4", "1,0 0,1"], ["1,0 0,1", "0,1 1,0"])
+@example(["1,0\x1c0,1", "0,1 1,0"], ["1,0 0,1", "0,1 1,0"])
+@example(["-0.0,1_0 nan,-inf", "5e-324,\u0661 1e400,+.5"], ["1,0\u20030,1", "0,1\xa01,0"])
+@settings(max_examples=400, deadline=None)
+def test_coin_parser_matches_the_per_cell_loop(rows0, rows1):
+    g = PortGraph([(0, 1), (0, 1)])
+    text = "\n".join(["v 0 2", *rows0, "v 1 2", *rows1])
+    assert outcome(_coin_blocks, g, text) == outcome(reference_coin_blocks, g, text)
+
+
+# a two-port state: one unit and one zero amplitude between blank and comment
+# lines, or any lines; a state line may hold whitespace around its sides
+pad = st.sampled_from(["", " ", "\t", "\xa0", "\u3000"])
+unit = st.sampled_from(["1,0", "-1,-0.0", "0.6,-0.8", "-0.0,1", "0 , -1", "\u0661,0"])
+zero = st.sampled_from(["0,0", "-0.0,-0.0", "0,-0.0", "0_0,-0", "\u0660,0", "-0.0 ,5e-324"])
+filler = st.lists(st.sampled_from(["", "  ", "# 1,0"]), max_size=1)
+state_line = st.one_of(unit, zero, good_cell, bad_cell, st.sampled_from(["", "# c", "1,2,3 4"]))
+state_lines = st.one_of(
+    st.tuples(filler, unit, filler, zero, filler).map(
+        lambda p: [*p[0], p[1], *p[2], p[3], *p[4]]),
+    st.tuples(filler, zero, filler, unit).map(lambda p: [*p[0], p[1], *p[2], p[3]]),
+    st.lists(state_line, max_size=4),
+)
+line_break = st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\x85", "\u2028"])
+
+
+@given(state_lines, pad, pad, line_break)
+@example(["1,2,3 4", "1,0"], "", "", "\n")
+@example(["1,0\x1c0,1"], "", "", "\n")
+@example(["-0.0,1", "-0.0 , -0.0"], "\u2003", "\t", "\n")
+@settings(max_examples=400, deadline=None)
+def test_state_parser_matches_the_per_cell_loop(lines, before, after, end):
+    g = single_edge()
+    text = "".join(before + line + after + end for line in lines)
+    assert outcome(state_from_text, g, text) == outcome(reference_state_from_text, g, text)
+
+
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_coin_file_round_trips_haar_blocks_to_the_bit(d, seed):
+    # d parallel edges give both ends degree d; -I has -0.0 everywhere off its diagonal
+    g = PortGraph([(0, 1)] * d + [(1, 2)])
+    blocks = [haar_unitary(np.random.default_rng(seed), d), -np.eye(d + 1, dtype=complex),
+              np.exp(1j * np.array([[seed]]))]
+    cs = CoinAssignment(g, blocks)
+    text = cs.to_text()
+    back = CoinAssignment.from_text(g, text)
+    assert [m.tobytes() for m in back.matrices] == [m.tobytes() for m in cs.matrices]
+    assert back.to_text() == text
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_state_file_round_trips_random_states_to_the_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    g = line_graph(n + 1)
+    amps = rng.normal(size=g.num_ports) + 1j * rng.normal(size=g.num_ports)
+    zeroed = rng.random(g.num_ports) < 0.3
+    zeroed[0] = False  # keeps the norm positive
+    amps[zeroed] = complex(-0.0, -0.0)
+    amps.imag[rng.random(g.num_ports) < 0.3] = -0.0
+    s = WalkState(g, amps / np.linalg.norm(amps))
+    back = state_from_text(g, state_to_text(s))
+    assert back.amplitudes.tobytes() == s.amplitudes.tobytes()
