@@ -7,6 +7,7 @@ from .walk import (
     WalkState,
     step,
     evolve,
+    evolve_batch,
     vertex_probability,
     inner_product,
     dense_step_matrix,
@@ -23,6 +24,7 @@ from .machines import (
     AcceptanceVerdict,
     Machine,
     acceptance_probability,
+    acceptances,
     classify,
     empirical_error_margin,
     export_machine,
@@ -46,6 +48,7 @@ __all__ = [
     "WalkState",
     "step",
     "evolve",
+    "evolve_batch",
     "vertex_probability",
     "inner_product",
     "dense_step_matrix",
@@ -58,6 +61,7 @@ __all__ = [
     "AcceptanceVerdict",
     "Machine",
     "acceptance_probability",
+    "acceptances",
     "classify",
     "empirical_error_margin",
     "export_machine",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -41,8 +42,11 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _clamp(p: float) -> float:
-    return min(1.0, max(0.0, p))
+def _clamp(p):
+    """Clip probabilities, one or an array, into [0, 1]; NaN is an error, not 0."""
+    if np.isnan(p).any():
+        raise ValueError("acceptance probability is NaN")
+    return np.clip(p, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -52,21 +56,23 @@ def _clamp(p: float) -> float:
 def run_sweep(family: str, max_len: int, out_path: Path) -> None:
     if max_len < 1 or max_len > MAX_SWEEP_LEN:
         raise ValueError(f"--max-len must be in 1..{MAX_SWEEP_LEN}, got {max_len}")
-    lines = ["index,word,acceptance,jaro\n"]
-    cache: dict[int, machines.Machine] = {}
-    for index, word in enumerate(encoding.enumerate_words(max_len), start=1):
-        n = len(word)
-        if n not in cache:
-            cache[n] = machines.machine_for_length(family, n)
-        acceptance = _clamp(machines.word_acceptance(cache[n], word))
-        if n < 2:
-            score = 0.0
-        else:
-            # odd lengths compare against the member one symbol shorter
-            reference = machines.member_word(family, n - n % 2)
-            score = metrics.jaro(word, reference).distance
-        lines.append(f"{index},{word},{_fmt(acceptance)},{_fmt(score)}\n")
-    out_path.write_text("".join(lines), newline="\n")
+    out_path.write_text("".join(_sweep_lines(family, max_len)), newline="\n")
+
+
+def _sweep_lines(family: str, max_len: int) -> Iterator[str]:
+    """The sweep CSV, one length at a time; a length's words are freed after it."""
+    yield "index,word,acceptance,jaro\n"
+    index = 0
+    for n in range(1, max_len + 1):
+        machine = machines.machine_for_length(family, n)
+        words = encoding.words_of_length(n)
+        # odd lengths compare against the member one symbol shorter; length 1 has none
+        reference = machines.member_word(family, n - n % 2)
+        probs = _clamp(machines.acceptances(machine, words)).tolist()
+        for word, acceptance in zip(words, probs):
+            index += 1
+            score = 0.0 if reference is None else metrics.jaro(word, reference).distance
+            yield f"{index},{word},{_fmt(acceptance)},{_fmt(score)}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -80,27 +86,32 @@ def run_qinput(base: str, family: str, eta_points: int, out_path: Path) -> None:
     n = len(base)
     if machines.member_word(family, n) != base:
         raise ValueError(f"{base!r} is not the member word of length {n} for {family}")
+    out_path.write_text("".join(_qinput_lines(base, family, eta_points)), newline="\n")
+
+
+def _qinput_lines(base: str, family: str, eta_points: int) -> Iterator[str]:
+    """The qinput CSV; its batch arrays are freed before the lines are joined."""
+    n = len(base)
     machine = machines.machine_for_length(family, n)
     reference = evolve(
         encoding.initial_state(machine, base), machine.coins, machine.steps
     )
     etas = np.linspace(0.0, 1.0, eta_points)
-    lines = [
-        f"# eta-grid=amplitude-linear points={eta_points}\n",
-        "w2,eta,fidelity,match_count\n",
-    ]
-    for w2 in encoding.words_of_length(n):
-        if w2 == base:
-            continue
+    eta_text = [_fmt(eta) for eta in etas.tolist()]
+    others = [w2 for w2 in encoding.words_of_length(n) if w2 != base]
+    # one row per (w2, eta), w2-major, evolved a chunk at a time
+    first = np.broadcast_to(encoding.symbols(machine, [base]), (len(others) * eta_points, n))
+    second = np.repeat(encoding.symbols(machine, others), eta_points, axis=0)
+    finals = machines.final_amplitudes(machine, first, second, np.tile(etas, len(others)))
+    states = (WalkState(machine.graph, row, _checked=True) for final in finals for row in final)
+    yield f"# eta-grid=amplitude-linear points={eta_points}\n"
+    yield "w2,eta,fidelity,match_count\n"
+    for w2 in others:
         match_count = sum(1 for x, y in zip(base, w2) if x == y)
-        for eta in etas:
-            state = encoding.quantum_initial_state(
-                machine, encoding.QuantumInput(base, w2, complex(eta))
-            )
-            final = evolve(state, machine.coins, machine.steps)
-            f = metrics.fidelity(reference, final)
-            lines.append(f"{w2},{_fmt(float(eta))},{_fmt(f)},{match_count}\n")
-    out_path.write_text("".join(lines), newline="\n")
+        # zip stops at the end of eta_text without taking the next w2's first state
+        for eta, state in zip(eta_text, states):
+            f = metrics.fidelity(reference, state)
+            yield f"{w2},{eta},{_fmt(f)},{match_count}\n"
 
 
 # ---------------------------------------------------------------------------

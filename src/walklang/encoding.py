@@ -13,6 +13,11 @@ A quantum input superposes two equal-length words symbol by symbol: where
 they agree the slot is loaded classically, where they differ the first
 word's slot gets ``alpha * eta`` and the second word's slot gets
 ``alpha * sqrt(1 - |eta|^2)``.
+
+:func:`encode` loads a whole batch at once, from ``(B, n)`` symbol
+matrices (0 for ``a``, 1 for ``b``) and a ``(B,)`` eta vector;
+:func:`initial_state` and :func:`quantum_initial_state` are its one-row
+calls.
 """
 
 from __future__ import annotations
@@ -20,25 +25,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .walk import WalkState
+from .walk import NORM_GUARD, WalkState, _check_norm
 
 __all__ = [
     "ALPHABET",
     "check_word",
     "words_of_length",
+    "symbols",
     "enumerate_words",
     "QuantumInput",
     "spatial_initial_state",
     "sequential_initial_state",
     "initial_state",
     "quantum_initial_state",
+    "encode",
 ]
 
 ALPHABET = "ab"
+# the largest |eta| a quantum input may carry, rounding included
+ETA_BOUND = 1 + 1e-12
 
 
 def check_word(word: str) -> str:
@@ -85,7 +94,7 @@ class QuantumInput:
             raise ValueError(
                 f"words must have equal length, got {len(self.w1)} and {len(self.w2)}"
             )
-        if not abs(self.eta) <= 1 + 1e-12:
+        if not abs(self.eta) <= ETA_BOUND:
             raise ValueError(f"|eta| must be <= 1, got {abs(self.eta)}")
 
 
@@ -113,8 +122,8 @@ def initial_state(machine, word: str) -> WalkState:
     This is the eta = 1 case of :func:`quantum_initial_state`, where every
     position is loaded classically.
     """
-    check_word(word)
-    return _load(machine, word, word, 1.0)
+    row = symbols(machine, [word])
+    return WalkState(machine.graph, encode(machine, row, row, _ONE)[0], _checked=True)
 
 
 def quantum_initial_state(machine, qinput: QuantumInput) -> WalkState:
@@ -124,26 +133,78 @@ def quantum_initial_state(machine, qinput: QuantumInput) -> WalkState:
     their ``1/sqrt(n)`` amplitude between the two words' slots in the
     ratio eta to sqrt(1 - |eta|^2).
     """
-    return _load(machine, qinput.w1, qinput.w2, complex(qinput.eta))
+    first, second = symbols(machine, [qinput.w1]), symbols(machine, [qinput.w2])
+    amps = encode(machine, first, second, np.array([qinput.eta], dtype=np.complex128))
+    return WalkState(machine.graph, amps[0], _checked=True)
 
 
-def _load(machine, w1: str, w2: str, eta: complex) -> WalkState:
-    """The one input encoder, through the machine's a-slot/b-slot table."""
-    n = len(w1)
+_ONE = np.ones(1)
+
+
+def _check_length(machine, n: int) -> None:
     if n != machine.word_length:
         raise ValueError(
             f"machine expects words of length {machine.word_length}, got {n}"
         )
-    alpha = 1.0 / math.sqrt(n)
-    a1 = alpha * eta
-    a2 = alpha * math.sqrt(max(0.0, 1.0 - abs(eta) ** 2))
-    amps = np.zeros(machine.graph.num_ports, dtype=np.complex128)
-    for (ia, ib), s1, s2 in zip(machine.slot_indices, w1, w2):
-        i1 = ia if s1 == "a" else ib
-        if s1 == s2:
-            amps[i1] = alpha
-        else:
-            i2 = ia if s2 == "a" else ib
-            amps[i1] += a1
-            amps[i2] += a2
-    return WalkState(machine.graph, amps)
+
+
+def symbols(machine, words: Sequence[str]) -> np.ndarray:
+    """The ``(B, n)`` symbol matrix of words for the machine: 0 for a, 1 for b.
+
+    The first word that :func:`check_word` or the machine's word length
+    rejects raises its error.
+    """
+    n = machine.word_length
+    codes = np.frombuffer("".join(words).encode("utf-8", "surrogatepass"), np.uint8) - 97
+    if set(map(len, words)) != {n} or not (codes <= 1).all():
+        for word in words:
+            check_word(word)
+            _check_length(machine, len(word))
+    return codes.reshape(len(words), n)
+
+
+def encode(machine, first: np.ndarray, second: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The one input encoder: ``(B, P)`` amplitudes from ``(B, n)`` symbol matrices.
+
+    Row b superposes the words ``first[b]`` and ``second[b]`` with weight
+    ``eta[b]``, through the machine's a-slot/b-slot table.  A position where
+    they agree gets ``alpha = 1/sqrt(n)`` on its slot; where they differ,
+    the first word's slot gets ``alpha * eta`` and the second word's slot
+    ``alpha * sqrt(1 - |eta|^2)``, each added onto zero.
+    """
+    first, second = np.asarray(first), np.asarray(second)
+    eta = np.asarray(eta, dtype=np.complex128)
+    _check_length(machine, first.shape[-1])
+    rows = len(first)
+    if first.shape != (rows, machine.word_length) or second.shape != first.shape:
+        raise ValueError(f"symbol matrices of shapes {first.shape} and {second.shape}")
+    if eta.shape != (rows,):
+        raise ValueError(f"eta has shape {eta.shape}, wanted ({rows},)")
+    if not all(((s == 0) | (s == 1)).all() for s in (first, second)):
+        raise ValueError("symbol matrices may only hold 0 (a) and 1 (b)")
+    bad = np.flatnonzero(~(np.abs(eta) <= ETA_BOUND))
+    if bad.size:
+        raise ValueError(f"|eta| must be <= 1, got {abs(complex(eta[bad[0]]))}")
+
+    alpha = 1.0 / math.sqrt(machine.word_length)
+    slots = np.asarray(machine.slot_indices)
+    cols = np.arange(machine.word_length)
+    i1, i2 = slots[cols, first], slots[cols, second]
+    row = np.broadcast_to(np.arange(rows)[:, None], first.shape)
+    same = first == second
+    amps = np.zeros((rows, machine.graph.num_ports), dtype=np.complex128)
+    amps[row[same], i1[same]] = alpha
+    differ = ~same
+    if differ.any():
+        a1 = np.zeros(rows, dtype=np.complex128)
+        a1.real, a1.imag = alpha * eta.real, alpha * eta.imag
+        # Python's abs and **: numpy's abs and square round some values differently
+        a2 = np.array([alpha * math.sqrt(max(0.0, 1.0 - abs(e) ** 2)) for e in eta.tolist()])
+        r = row[differ]
+        amps[r, i1[differ]] += a1[r]
+        amps[r, i2[differ]] += a2[r]
+    norms = np.linalg.norm(amps, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_GUARD))
+    if bad.size:
+        _check_norm(amps[bad[0]])
+    return amps

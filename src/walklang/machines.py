@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +37,8 @@ from . import coins as coinlib
 from . import encoding
 from .graph import PortGraph
 from .metrics import reference_word
-from .walk import CoinAssignment, WalkState, evolve, vertex_probability
+from .walk import CoinAssignment, WalkState, evolve, evolve_batch, vertex_masses
+from .walk import vertex_probability
 
 __all__ = [
     "Machine",
@@ -52,6 +53,8 @@ __all__ = [
     "member_word",
     "acceptance_probability",
     "word_acceptance",
+    "final_amplitudes",
+    "acceptances",
     "check_cut",
     "classify",
     "empirical_error_margin",
@@ -69,9 +72,10 @@ class Machine:
     rail vertices (spatial) or the chain vertex (sequential) that carries
     the symbol.  ``steps`` is the measurement time for this machine's
     word length.  ``member`` is the word of ``word_length`` that the machine
-    accepts with certainty, or None when that length has none.
-    ``slot_indices`` is derived once from ``input_slots``: per position,
-    the flat state indices of its a-slot and b-slot.
+    accepts with certainty, or None when that length has none; construction
+    checks that it does, within 1e-12.  ``slot_indices`` is derived once
+    from ``input_slots``: per position, the flat state indices of its a-slot
+    and b-slot.
     """
 
     family: str
@@ -100,6 +104,12 @@ class Machine:
         else:
             table = tuple((index(v, 0), index(v, 1)) for v in self.input_slots)
         object.__setattr__(self, "slot_indices", table)
+        if self.member is not None:
+            p = word_acceptance(self, self.member)
+            if not abs(p - 1.0) <= 1e-12:
+                raise ValueError(
+                    f"member word {self.member!r} is accepted with probability {p}, not 1"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +422,38 @@ def word_acceptance(machine: Machine, word: str) -> float:
     return acceptance_probability(machine, encoding.initial_state(machine, word))
 
 
+# Rows per batch: enough to spread numpy's per-call cost over many words,
+# few enough that a batch's arrays stay as small as the rest of a run.
+CHUNK = 64
+
+
+def final_amplitudes(machine: Machine, first, second, eta) -> Iterator[np.ndarray]:
+    """Encode and evolve the rows of :func:`encoding.encode`, ``CHUNK`` at a time.
+
+    Yields the final ``(rows, P)`` amplitudes of each chunk in order.
+    """
+    for lo in range(0, len(first), CHUNK):
+        hi = lo + CHUNK
+        amps = encoding.encode(machine, first[lo:hi], second[lo:hi], eta[lo:hi])
+        yield evolve_batch(amps, machine.coins, machine.steps)
+
+
+def acceptances(machine: Machine, words: Sequence[str]) -> np.ndarray:
+    """:func:`word_acceptance` of every word, in order, bit for bit.
+
+    Each accepting vertex is measured on every row, and the rows are summed
+    from 0 in ``accepting`` order, as :func:`acceptance_probability` does.
+    """
+    rows = encoding.symbols(machine, words)
+    out = np.empty(len(rows))
+    lo = 0
+    for final in final_amplitudes(machine, rows, rows, np.ones(len(rows))):
+        hi = lo + len(final)
+        out[lo:hi] = sum(vertex_masses(machine.graph, final, v) for v in machine.accepting)
+        lo = hi
+    return out
+
+
 @dataclass(frozen=True)
 class AcceptanceVerdict:
     """Cut-point decision for one run.
@@ -454,7 +496,8 @@ def empirical_error_margin(machine: Machine) -> float:
     Exhaustive over all 2^n words, so only feasible for short lengths.
     """
     words = encoding.words_of_length(machine.word_length)
-    return max((word_acceptance(machine, w) for w in words if w != machine.member), default=0.0)
+    probs = acceptances(machine, words).tolist()
+    return max((p for w, p in zip(words, probs) if w != machine.member), default=0.0)
 
 
 # ---------------------------------------------------------------------------

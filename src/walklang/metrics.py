@@ -8,6 +8,7 @@ field of :class:`JaroBreakdown` follows that convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,12 @@ def reference_word(language: str, n: int) -> str:
 
 
 def fidelity(s1: WalkState, s2: WalkState) -> float:
-    """|<s1|s2>|^2 for two normalised states on the same basis."""
-    overlap = inner_product(s1, s2)
-    return float(min(1.0, abs(overlap) ** 2))
+    """|<s1|s2>|^2 for two normalised states on the same basis.
+
+    Rounding can put the square a hair above 1, so it is capped at 1; a NaN
+    or infinite overlap, from a state that holds one, raises ``ValueError``.
+    """
+    f = abs(inner_product(s1, s2)) ** 2
+    if not math.isfinite(f):
+        raise ValueError(f"fidelity is {f}: a state holds a non-finite amplitude")
+    return float(min(1.0, f))

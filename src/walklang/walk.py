@@ -4,7 +4,8 @@ A walk state is a dense complex vector with one amplitude per
 ``(vertex, port)`` basis state, laid out vertex block by vertex block in
 the order fixed by the graph.  One step applies the per-vertex coin
 blocks and then the shift permutation; ``T`` steps of a walk starting
-from ``psi`` are ``evolve(psi, coins, T)``.
+from ``psi`` are ``evolve(psi, coins, T)``, the one-row case of
+``evolve_batch``, which steps a ``(B, P)`` array of amplitude rows at once.
 
 Everything here is pure: state amplitudes and coin blocks are arrays over
 immutable buffers and each operation returns a new state, so walks over a
@@ -25,7 +26,9 @@ __all__ = [
     "CoinAssignment",
     "step",
     "evolve",
+    "evolve_batch",
     "vertex_probability",
+    "vertex_masses",
     "all_vertex_probabilities",
     "inner_product",
     "dense_step_matrix",
@@ -50,10 +53,7 @@ class WalkState:
                 f"state has {amps.shape} amplitudes, graph has {graph.num_ports} ports"
             )
         if not _checked:
-            norm = np.linalg.norm(amps)
-            # written so that a NaN or infinite norm fails too
-            if not abs(norm - 1.0) <= NORM_GUARD:
-                raise ValueError(f"state is not normalised (norm {float(norm)})")
+            _check_norm(amps)
         self._graph = graph
         self._amplitudes = _frozen(amps)
 
@@ -159,6 +159,14 @@ class CoinAssignment:
             return cls(graph, blocks)
 
 
+def _check_norm(amps: np.ndarray) -> None:
+    """Raise unless the amplitude vector has norm 1 within ``NORM_GUARD``."""
+    norm = np.linalg.norm(amps)
+    # written so that a NaN or infinite norm fails too
+    if not abs(norm - 1.0) <= NORM_GUARD:
+        raise ValueError(f"state is not normalised (norm {float(norm)})")
+
+
 def step(state: WalkState, coins: CoinAssignment) -> WalkState:
     """One application of U = SC: coin blocks, then the shift permutation."""
     return evolve(state, coins, 1)
@@ -167,30 +175,53 @@ def step(state: WalkState, coins: CoinAssignment) -> WalkState:
 def evolve(state: WalkState, coins: CoinAssignment, steps: int) -> WalkState:
     """Apply ``steps`` full SC steps; ``steps = 0`` returns an equal state.
 
-    Each step gathers every port along the route, then multiplies the mixing
-    ports of each degree class by its coin stack and scatters the products
-    straight to their shifted positions.
+    The one-row case of :func:`evolve_batch`.
     """
-    if steps < 0:
-        raise ValueError(f"step count must be non-negative, got {steps}")
     graph = state.graph
     if coins.graph is not graph and coins.graph != graph:
         raise ValueError("coin assignment was built for a different graph")
-    amps = state.amplitudes
-    for _ in range(steps):
-        out = amps[coins._route]
-        for idx, dst, stack in coins._kernel:
-            out[dst] = (stack @ amps[idx][..., None])[..., 0]
-        amps = out
+    amps = evolve_batch(state.amplitudes[None], coins, steps)[0]
     return WalkState(graph, amps, _checked=True)
+
+
+def evolve_batch(amplitudes: np.ndarray, coins: CoinAssignment, steps: int) -> np.ndarray:
+    """Apply ``steps`` full SC steps to every row of a ``(B, P)`` amplitude array.
+
+    Each step gathers every port of every row along the route, then
+    multiplies the mixing ports of each degree class by its coin stack and
+    scatters the products straight to their shifted positions.  That is
+    still one gemv per vertex per row, so a row evolves bit for bit as it
+    would alone.  The rows of the result are not contiguous in general.
+    """
+    if steps < 0:
+        raise ValueError(f"step count must be non-negative, got {steps}")
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if amps.ndim != 2 or amps.shape[1] != coins.graph.num_ports:
+        raise ValueError(
+            f"amplitudes have shape {amps.shape}, graph has {coins.graph.num_ports} ports"
+        )
+    for _ in range(steps):
+        out = amps[:, coins._route]
+        for idx, dst, stack in coins._kernel:
+            out[:, dst] = (stack @ amps[:, idx][..., None])[..., 0]
+        amps = out
+    return amps
 
 
 def vertex_probability(state: WalkState, v: int) -> float:
     """Probability of finding the walker at ``v``: sum of |amplitude|^2 over its ports."""
-    lo = state.graph.offset(v)
-    hi = lo + state.graph.degree(v)
-    block = state.amplitudes[lo:hi]
-    return float(np.real(np.vdot(block, block)))
+    return float(vertex_masses(state.graph, state.amplitudes[None], v)[0])
+
+
+def vertex_masses(graph: PortGraph, amplitudes: np.ndarray, v: int) -> np.ndarray:
+    """:func:`vertex_probability` of ``v`` for every row of a ``(B, P)`` amplitude array.
+
+    The block is copied to contiguous rows first: ``vdot`` rounds a strided
+    row differently, and :func:`evolve_batch` leaves its rows strided.
+    """
+    lo = graph.offset(v)
+    block = np.ascontiguousarray(amplitudes[:, lo:lo + graph.degree(v)])
+    return np.array([np.vdot(row, row).real for row in block], dtype=np.float64)
 
 
 def all_vertex_probabilities(state: WalkState) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from walklang import CoinAssignment, PortGraph, WalkState
@@ -77,6 +79,29 @@ def reference_evolve(state, coins: CoinAssignment, steps: int) -> np.ndarray:
             coined[lo:hi] = coins.matrices[v] @ amps[lo:hi]
         amps = np.empty_like(coined)
         amps[perm] = coined
+    return amps
+
+
+def reference_load(machine, w1: str, w2: str, eta: complex) -> np.ndarray:
+    """Encoded amplitudes by a loop over positions, one Python scalar at a time.
+
+    A bit-identity oracle for ``encoding.encode``: matching positions set
+    ``alpha`` on their slot, differing ones add ``alpha * eta`` and
+    ``alpha * sqrt(1 - |eta|^2)`` onto zero.
+    """
+    n = len(w1)
+    alpha = 1.0 / math.sqrt(n)
+    a1 = alpha * eta
+    a2 = alpha * math.sqrt(max(0.0, 1.0 - abs(eta) ** 2))
+    amps = np.zeros(machine.graph.num_ports, dtype=np.complex128)
+    for (ia, ib), s1, s2 in zip(machine.slot_indices, w1, w2):
+        i1 = ia if s1 == "a" else ib
+        if s1 == s2:
+            amps[i1] = alpha
+        else:
+            i2 = ia if s2 == "a" else ib
+            amps[i1] += a1
+            amps[i2] += a2
     return amps
 
 

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from walklang import (
+    WalkState,
     evolve,
     export_machine,
     initial_state,
     machine_for_length,
     spatial_eq,
+    vertex_probability,
     word_acceptance,
 )
-from walklang.cli import main, run_verify
+from walklang.cli import _clamp, main, run_verify
 from walklang.walk import state_to_text
 
 from helpers import hadamard_line_coins, line_graph
@@ -290,6 +292,8 @@ PINNED_DIGESTS = {
     "sweep-seq-eq-8": "8be7d566aa1d36ec7d6da35be47aca09287f35657c1e4f50ac5fd83aa64f6594",
     "qinput-default": "a96986d58c8568c75fb62730f37968f912f84829ec0a47b69b172c66b18888bf",
     "qinput-seq-eq-aaabbb-11": "c9cec4df9e3f9cb67f0c8a21ea3cd68e129c9737e6e88a5f151ba6ffe04a23a2",
+    "sweep-seq-eq-12": "9505b73b5e7774d2d44b0ef6c148b7d664c39be942ee1fe1caf8c3fca45b57ae",
+    "qinput-aaaabbbb-101": "c5891d09441df47de573beb2a23174916ce25c8b16553091ca61ab11a8ec66ec",
 }
 PINNED_ARGS = {
     **{f"sweep-{f}-8": ["sweep", "--family", f, "--max-len", "8"]
@@ -297,6 +301,8 @@ PINNED_ARGS = {
     "qinput-default": ["qinput"],
     "qinput-seq-eq-aaabbb-11": ["qinput", "--family", "seq-eq", "--base", "aaabbb",
                                 "--eta-points", "11"],
+    "sweep-seq-eq-12": ["sweep", "--family", "seq-eq", "--max-len", "12"],
+    "qinput-aaaabbbb-101": ["qinput", "--base", "aaaabbbb", "--eta-points", "101"],
 }
 
 
@@ -311,3 +317,16 @@ def test_verify_stdout_is_pinned(capsys):
     assert main(["verify"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "ee381ca7745e76eb3de1f0666bd5771378b0f44241c977ce8fe2da9abaa0dc67"
+
+
+def test_clamp_rejects_nan_and_clips_the_rest():
+    graph = line_graph(2)
+    holds_nan = WalkState(graph, np.array([np.nan, 0.0]), _checked=True)
+    p = vertex_probability(holds_nan, 0)
+    with pytest.raises(ValueError, match="NaN"):
+        _clamp(p)
+    with pytest.raises(ValueError, match="NaN"):
+        _clamp(np.array([0.5, p, 1.0]))
+    clipped = _clamp(np.array([-1e-17, 0.25, 1 + 2e-16]))
+    assert clipped.tolist() == [0.0, 0.25, 1.0]
+    assert _clamp(1 + 2e-16) == 1.0

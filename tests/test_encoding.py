@@ -15,9 +15,13 @@ from walklang import (
     spatial_eq,
     spatial_initial_state,
 )
-from walklang.encoding import check_word, words_of_length
+from walklang import PortGraph
+from walklang.coins import grover
+from walklang.encoding import check_word, encode, symbols, words_of_length
+from walklang.machines import FAMILIES, Machine, acceptances
+from walklang.walk import CoinAssignment
 
-from helpers import all_words
+from helpers import all_words, reference_load
 
 words = st.integers(1, 6).flatmap(
     lambda n: st.text(alphabet="ab", min_size=n, max_size=n)
@@ -175,3 +179,80 @@ def test_enumerate_words_concatenates_words_of_length(k):
 def test_quantum_input_rejects_nan_eta():
     with pytest.raises(ValueError, match="eta"):
         QuantumInput("ab", "ba", float("nan"))
+
+
+# 0.8040251668887082 ** 2 rounds differently from numpy's square of it
+etas = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1j, -1j, 1 + 1e-13, 0.8040251668887082]),
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.tuples(st.text("ab", min_size=n, max_size=n),
+                  st.text("ab", min_size=n, max_size=n), etas),
+        min_size=1, max_size=9)),
+)
+@settings(max_examples=150, deadline=None)
+def test_encode_matches_the_per_word_loop_bit_for_bit(family, rows):
+    w1s, w2s, eta = zip(*rows)
+    machine = machine_for_length(family, len(w1s[0]))
+    got = encode(machine, symbols(machine, w1s), symbols(machine, w2s),
+                 np.array(eta, dtype=np.complex128))
+    for k, row in enumerate(rows):
+        assert got[k].tobytes() == reference_load(machine, *row).tobytes()
+    single = quantum_initial_state(machine, QuantumInput(*rows[0]))
+    assert single.amplitudes.tobytes() == got[0].tobytes()
+    classical = initial_state(machine, w1s[0])
+    assert classical.amplitudes.tobytes() == reference_load(machine, w1s[0], w1s[0], 1.0).tobytes()
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("", "word must be non-empty"),
+    ("abca", "word 'abca' uses symbols outside {a, b}: ['c']"),
+    ("ab\udcffb", "word 'ab\\udcffb' uses symbols outside {a, b}: ['\\udcff']"),
+    ("aab", "machine expects words of length 4, got 3"),
+    ("aabab", "machine expects words of length 4, got 5"),
+])
+def test_symbols_raise_the_first_bad_words_error(bad, message):
+    machine = spatial_eq(2)
+    with pytest.raises(ValueError) as single:
+        initial_state(machine, bad)
+    with pytest.raises(ValueError) as batch:
+        symbols(machine, ["abab", bad, "ab", "c"])
+    with pytest.raises(ValueError) as accepted:
+        acceptances(machine, ["aabb", bad, "abc"])
+    assert str(single.value) == str(batch.value) == str(accepted.value) == message
+
+
+def test_encode_rejects_bad_arguments():
+    machine = spatial_eq(2)
+    rows = symbols(machine, ["aabb", "abab"])
+    with pytest.raises(ValueError, match="length 4, got 3"):
+        encode(machine, rows[:, :3], rows[:, :3], np.ones(2))
+    with pytest.raises(ValueError, match="eta has shape"):
+        encode(machine, rows, rows, np.ones(3))
+    with pytest.raises(ValueError, match="0 \\(a\\) and 1 \\(b\\)"):
+        encode(machine, rows, rows + 1, np.ones(2))
+    for eta in (1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"\|eta\| must be <= 1"):
+            encode(machine, rows, rows[::-1], np.array([0.5, eta]))
+
+
+def test_encode_guards_the_norm_of_every_row():
+    # both positions share their rails, so "aa" and "bb" load one slot twice
+    graph = PortGraph([(0, 2), (1, 2)])
+    machine = Machine(
+        family="shared-rails", kind="spatial", word_length=2, graph=graph,
+        coins=CoinAssignment.by_degree(graph, grover), input_slots=((0, 1), (0, 1)),
+        accepting=frozenset({2}), rejecting=frozenset(), steps=1,
+    )
+    assert np.linalg.norm(encode(machine, *[symbols(machine, ["ab", "ba"])] * 2,
+                                 np.ones(2)), axis=1) == pytest.approx(1.0)
+    rows = symbols(machine, ["ab", "bb"])
+    with pytest.raises(ValueError, match=r"not normalised \(norm 0\.7071067811865475\)"):
+        encode(machine, rows, rows, np.ones(2))
+    with pytest.raises(ValueError, match=r"not normalised \(norm 0\.7071067811865475\)"):
+        initial_state(machine, "aa")

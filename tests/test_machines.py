@@ -24,13 +24,15 @@ from walklang import (
     vertex_probability,
     word_acceptance,
 )
-from walklang.machines import FAMILIES, Machine
-from walklang.walk import all_vertex_probabilities
+from walklang.encoding import encode, symbols
+from walklang.machines import CHUNK, FAMILIES, Machine, acceptances, final_amplitudes
+from walklang.walk import WalkState, all_vertex_probabilities, evolve_batch
 
 from helpers import (
     all_words,
     closed_form_acceptance,
     reference_evolve,
+    reference_load,
     reference_vertex_probabilities,
 )
 
@@ -458,3 +460,62 @@ def test_closed_form_acceptance_matches_every_word_machine():
             for word in all_words(n):
                 expected = closed_form_acceptance(machine, word)
                 assert abs(word_acceptance(machine, word) - expected) <= 1e-12, (target, word)
+
+
+# -- the batched kernel and acceptances ----------------------------------------
+
+def reference_rows(machine, w1s, w2s, etas):
+    """Each input's final amplitudes by the per-word encoder and per-vertex loop."""
+    return [
+        reference_evolve(WalkState(machine.graph, reference_load(machine, w1, w2, eta)),
+                         machine.coins, machine.steps)
+        for w1, w2, eta in zip(w1s, w2s, etas)
+    ]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_evolve_batch_rows_match_reference_loop(family):
+    rng = np.random.default_rng(sorted(FAMILIES).index(family))
+    for n in range(1, 11):
+        machine = machine_for_length(family, n)
+        words = all_words(n)
+        # mixed words, more of them than one chunk holds once n >= 7
+        w1s = [words[i] for i in rng.integers(len(words), size=CHUNK + 6)]
+        w2s = [words[i] for i in rng.integers(len(words), size=CHUNK + 6)]
+        etas = np.exp(2j * np.pi * rng.random(CHUNK + 6)) * rng.random(CHUNK + 6)
+        etas[:3] = (1.0, 0.0, -0.5)
+        classical = reference_rows(machine, w1s, w1s, np.ones(len(w1s)))
+        quantum = reference_rows(machine, w1s, w2s, etas)
+        first, second = symbols(machine, w1s), symbols(machine, w2s)
+
+        single = evolve_batch(encode(machine, first[:1], first[:1], np.ones(1)),
+                              machine.coins, machine.steps)
+        assert single.shape == (1, machine.graph.num_ports)
+        assert np.array_equal(single[0], classical[0])
+        whole = evolve_batch(encode(machine, first, first, np.ones(len(w1s))),
+                             machine.coins, machine.steps)
+        chunked = np.concatenate(list(final_amplitudes(machine, first, second, etas)))
+        for k in range(len(w1s)):
+            assert np.array_equal(whole[k], classical[k]), (n, k)
+            assert np.array_equal(chunked[k], quantum[k]), (n, k)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_acceptances_match_word_acceptance_bit_for_bit(family):
+    for n in range(1, 9):
+        machine = machine_for_length(family, n)
+        words = all_words(n)
+        got = acceptances(machine, words)
+        expected = np.array([word_acceptance(machine, w) for w in words])
+        assert got.tobytes() == expected.tobytes(), n
+    assert acceptances(machine, []).shape == (0,)
+
+
+def test_member_word_is_checked_at_construction():
+    machine = spatial_eq(2)
+    with pytest.raises(ValueError, match=r"'abab' is accepted with probability 0\.25"):
+        dataclasses.replace(machine, member="abab")
+    with pytest.raises(ValueError, match="length 4, got 3"):
+        dataclasses.replace(machine, member="aab")
+    assert dataclasses.replace(machine, member=None).member is None
+    assert dataclasses.replace(machine, member="aabb").member == "aabb"

@@ -151,3 +151,10 @@ def test_fidelity_invariant_under_walk_step(seed):
     before = fidelity(psi, phi)
     after = fidelity(step(psi, cs), step(phi, cs))
     assert after == pytest.approx(before, abs=1e-12)
+
+
+def test_fidelity_rejects_a_nan_overlap():
+    s = WalkState.from_basis(PortGraph([(0, 1)]), 0, 0)
+    holds_nan = WalkState(s.graph, np.array([np.nan, 0.0]), _checked=True)
+    with pytest.raises(ValueError, match="fidelity is nan"):
+        fidelity(s, holds_nan)

@@ -15,7 +15,7 @@ from walklang import (
     vertex_probability,
 )
 from walklang import coins
-from walklang.walk import _coin_blocks, state_from_text, state_to_text
+from walklang.walk import _coin_blocks, evolve_batch, state_from_text, state_to_text
 
 from helpers import (
     graph_from_edges,
@@ -484,3 +484,19 @@ def test_state_file_round_trips_random_states_to_the_bit(n, seed):
     s = WalkState(g, amps / np.linalg.norm(amps))
     back = state_from_text(g, state_to_text(s))
     assert back.amplitudes.tobytes() == s.amplitudes.tobytes()
+
+
+def test_evolve_batch_checks_its_arguments():
+    g = line_graph(3)
+    cs = hadamard_line_coins(g)
+    amps = np.eye(g.num_ports, dtype=np.complex128)
+    with pytest.raises(ValueError, match="non-negative"):
+        evolve_batch(amps, cs, -1)
+    for bad in (amps[0], amps[:, :-1]):
+        with pytest.raises(ValueError, match=f"graph has {g.num_ports} ports"):
+            evolve_batch(bad, cs, 1)
+    assert np.array_equal(evolve_batch(amps, cs, 0), amps)
+    for k, row in enumerate(evolve_batch(amps, cs, 5)):
+        state = WalkState(g, amps[k])
+        assert np.array_equal(row, evolve(state, cs, 5).amplitudes)
+        assert np.array_equal(row, reference_evolve(state, cs, 5))
