@@ -9,7 +9,6 @@ from .walk import (
     evolve,
     evolve_batch,
     vertex_probability,
-    inner_product,
     dense_step_matrix,
 )
 from .encoding import (
@@ -37,7 +36,7 @@ from .machines import (
     spatial_eq,
     word_acceptance,
 )
-from .metrics import JaroBreakdown, fidelity, jaro, reference_word
+from .metrics import JaroBreakdown, fidelity, jaro
 
 __version__ = "0.1.0"
 
@@ -50,7 +49,6 @@ __all__ = [
     "evolve",
     "evolve_batch",
     "vertex_probability",
-    "inner_product",
     "dense_step_matrix",
     "QuantumInput",
     "enumerate_words",
@@ -76,5 +74,4 @@ __all__ = [
     "JaroBreakdown",
     "fidelity",
     "jaro",
-    "reference_word",
 ]

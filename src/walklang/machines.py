@@ -15,6 +15,8 @@ The accepted languages:
 * ab: the alternating words (ab)^m,
 * single fixed words (sequential only, swap coins throughout).
 
+:func:`member_word` states each family's member word of a length.
+
 Edge-order contracts
 --------------------
 Port labels, and with them every amplitude vector, are fixed by the order
@@ -36,7 +38,6 @@ import numpy as np
 from . import coins as coinlib
 from . import encoding
 from .graph import PortGraph
-from .metrics import reference_word
 from .walk import CoinAssignment, WalkState, evolve, evolve_batch, vertex_masses
 from .walk import vertex_probability
 
@@ -75,7 +76,7 @@ class Machine:
     accepts with certainty, or None when that length has none; construction
     checks that it does, within 1e-12.  ``slot_indices`` is derived once
     from ``input_slots``: per position, the flat state indices of its a-slot
-    and b-slot.
+    and b-slot, no index used twice.
     """
 
     family: str
@@ -103,6 +104,11 @@ class Machine:
             table = tuple((index(a, 0), index(b, 0)) for a, b in self.input_slots)
         else:
             table = tuple((index(v, 0), index(v, 1)) for v in self.input_slots)
+        # the encoder adds each slot's amplitude onto zero, so no two may coincide
+        flat = [i for pair in table for i in pair]
+        if len(set(flat)) < len(flat):
+            repeated = next(i for k, i in enumerate(flat) if i in flat[:k])
+            raise ValueError(f"input positions share flat slot {repeated}")
         object.__setattr__(self, "slot_indices", table)
         if self.member is not None:
             p = word_acceptance(self, self.member)
@@ -384,8 +390,9 @@ def member_word(family: str, n: int) -> str | None:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if n < 2 or n % 2:
         return None
+    m = n // 2
     # every family name ends in its language, "eq" or "ab"
-    return reference_word(family.split("-")[1], n)
+    return "a" * m + "b" * m if family.endswith("eq") else "ab" * m
 
 
 def machine_for_length(family: str, n: int) -> Machine:

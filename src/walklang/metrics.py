@@ -1,5 +1,8 @@
 """String similarity and state fidelity metrics.
 
+:func:`jaro` scores two words; :func:`fidelity` measures a batch of
+amplitude rows against one reference state, one ``vdot`` per row.
+
 Naming warning: the Jaro score computed here is conventionally called the
 Jaro *distance* although it is a similarity, with 1 meaning the strings
 are equal and 0 meaning no character matches at all.  The ``distance``
@@ -8,14 +11,13 @@ field of :class:`JaroBreakdown` follows that convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import WalkState, inner_product
+from .walk import WalkState
 
-__all__ = ["JaroBreakdown", "jaro", "reference_word", "fidelity"]
+__all__ = ["JaroBreakdown", "jaro", "fidelity"]
 
 
 @dataclass(frozen=True)
@@ -70,29 +72,30 @@ def jaro(w1: str, w2: str) -> JaroBreakdown:
     return JaroBreakdown(window, s, t, d)
 
 
-def reference_word(language: str, n: int) -> str:
-    """The unique member word of length n (or n - 1 when n is odd).
+def fidelity(reference: WalkState, amplitudes: np.ndarray) -> np.ndarray:
+    """``|<reference|row>|^2`` for every row of a ``(B, P)`` amplitude array.
 
-    ``language`` is ``"eq"`` for the equal-run words a^m b^m or ``"ab"``
-    for the alternating words (ab)^m.  Odd lengths have no member, so they
-    are compared against the member one symbol shorter.
+    Each row is copied to contiguous memory first (``vdot`` rounds a strided
+    row differently, and :func:`~walklang.walk.evolve_batch` leaves its rows
+    strided), and its overlap is squared as a Python float, as numpy's square
+    rounds some doubles differently.  Rounding can put a square a hair above
+    1, so it is capped at 1; a NaN, infinite or overflowing overlap, from a
+    row that holds one, raises ``ValueError``.  The rows are not checked
+    for norm.
     """
-    if language not in ("eq", "ab"):
-        raise ValueError(f"unknown language {language!r}, expected 'eq' or 'ab'")
-    if n < 2:
-        raise ValueError(f"no reference word for length {n}")
-    even = n if n % 2 == 0 else n - 1
-    m = even // 2
-    return "a" * m + "b" * m if language == "eq" else "ab" * m
-
-
-def fidelity(s1: WalkState, s2: WalkState) -> float:
-    """|<s1|s2>|^2 for two normalised states on the same basis.
-
-    Rounding can put the square a hair above 1, so it is capped at 1; a NaN
-    or infinite overlap, from a state that holds one, raises ``ValueError``.
-    """
-    f = abs(inner_product(s1, s2)) ** 2
-    if not math.isfinite(f):
-        raise ValueError(f"fidelity is {f}: a state holds a non-finite amplitude")
-    return float(min(1.0, f))
+    rows = np.asarray(amplitudes, dtype=np.complex128)
+    ports = reference.graph.num_ports
+    if rows.ndim != 2 or rows.shape[1] != ports:
+        raise ValueError(f"amplitudes have shape {rows.shape}, reference has {ports} ports")
+    ref = reference.amplitudes
+    try:
+        out = np.array([abs(complex(np.vdot(ref, row))) ** 2
+                        for row in np.ascontiguousarray(rows)], dtype=np.float64)
+    except OverflowError:
+        raise ValueError("fidelity overflows: a row holds a huge amplitude") from None
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ValueError(
+            f"fidelity is {out[bad[0]]} at row {bad[0]}: a row holds a non-finite amplitude"
+        )
+    return np.minimum(out, 1.0)

@@ -30,7 +30,6 @@ __all__ = [
     "vertex_probability",
     "vertex_masses",
     "all_vertex_probabilities",
-    "inner_product",
     "dense_step_matrix",
 ]
 
@@ -230,13 +229,6 @@ def all_vertex_probabilities(state: WalkState) -> np.ndarray:
     for vs, idx in state.graph.degree_classes():
         out[vs] = probs[idx].sum(axis=1)
     return out
-
-
-def inner_product(s1: WalkState, s2: WalkState) -> complex:
-    """<s1|s2> over a shared basis."""
-    if s1.graph is not s2.graph and s1.graph != s2.graph:
-        raise ValueError("states live on different graphs")
-    return complex(np.vdot(s1.amplitudes, s2.amplitudes))
 
 
 def dense_step_matrix(

@@ -82,6 +82,17 @@ def reference_evolve(state, coins: CoinAssignment, steps: int) -> np.ndarray:
     return amps
 
 
+def reference_fidelity(reference, amplitudes: np.ndarray) -> np.ndarray:
+    """Fidelity of each row with ``reference``, measured one row at a time.
+
+    An oracle for ``metrics.fidelity``: each row is copied to contiguous
+    memory, then ``abs(complex(np.vdot(ref, row))) ** 2`` is capped at 1.
+    """
+    ref = reference.amplitudes
+    return np.array([min(1.0, abs(complex(np.vdot(ref, np.ascontiguousarray(row)))) ** 2)
+                     for row in amplitudes])
+
+
 def reference_load(machine, w1: str, w2: str, eta: complex) -> np.ndarray:
     """Encoded amplitudes by a loop over positions, one Python scalar at a time.
 

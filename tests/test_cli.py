@@ -1,5 +1,4 @@
 import hashlib
-import io
 
 import numpy as np
 import pytest
@@ -9,7 +8,9 @@ from walklang import (
     evolve,
     export_machine,
     initial_state,
+    jaro,
     machine_for_length,
+    member_word,
     spatial_eq,
     vertex_probability,
     word_acceptance,
@@ -43,9 +44,7 @@ def test_sweep_matches_library(tmp_path):
     assert rows[0]["jaro"] == "0"
     ba = rows[4]
     assert ba["word"] == "ba" and float(ba["acceptance"]) < 1
-    from walklang import jaro, reference_word
-
-    assert float(ba["jaro"]) == jaro("ba", reference_word("eq", 2)).distance
+    assert float(ba["jaro"]) == jaro("ba", member_word("spatial-eq", 2)).distance
 
 
 def test_sweep_seq_ab_floor(tmp_path):
@@ -104,6 +103,23 @@ def test_qinput_determinism(tmp_path):
     main(["qinput", "--eta-points", "11", "--out", str(a)])
     main(["qinput", "--eta-points", "11", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_qinput_builds_no_state_per_row(tmp_path, monkeypatch):
+    built = []
+    init = WalkState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WalkState, "__init__", counting_init)
+    counts = []
+    for points in ("2", "11"):
+        built.clear()
+        assert main(["qinput", "--eta-points", points, "--out", str(tmp_path / "q.csv")]) == 0
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
 
 
 def test_qinput_rejects_non_member_base(tmp_path):
@@ -189,24 +205,18 @@ def test_simulate_reports_parse_errors(tmp_path):
     assert code == 2
 
 
-def test_verify_passes_clean():
-    buf = io.StringIO()
-    assert run_verify(stream=buf) == 0
-    report = buf.getvalue()
+def test_verify_passes_clean(capsys):
+    assert run_verify() == 0
+    report = capsys.readouterr().out
     assert "FAIL" not in report
     assert "all checks passed" in report
 
 
-def test_verify_catches_injected_defect():
-    buf = io.StringIO()
-    assert run_verify(inject_coin_defect=True, stream=buf) == 1
-    assert "FAIL coin-unitarity" in buf.getvalue()
-
-
-def test_verify_fails_when_no_graph_is_compared():
-    buf = io.StringIO()
-    assert run_verify(oracle_limit=0, stream=buf) == 1
-    assert "FAIL oracle-equivalence" in buf.getvalue()
+def test_verify_fails_when_no_graph_is_compared(capsys):
+    assert run_verify(oracle_limit=0) == 1
+    report = capsys.readouterr().out
+    assert "FAIL oracle-equivalence" in report
+    assert report.endswith("1 check(s) failed\n")
 
 
 @pytest.mark.parametrize("margin", ["nan", "inf"])

@@ -242,13 +242,15 @@ def test_encode_rejects_bad_arguments():
 
 
 def test_encode_guards_the_norm_of_every_row():
-    # both positions share their rails, so "aa" and "bb" load one slot twice
-    graph = PortGraph([(0, 2), (1, 2)])
+    graph = PortGraph([(0, 2), (1, 2), (3, 2), (4, 2)])
     machine = Machine(
-        family="shared-rails", kind="spatial", word_length=2, graph=graph,
-        coins=CoinAssignment.by_degree(graph, grover), input_slots=((0, 1), (0, 1)),
+        family="two-rails", kind="spatial", word_length=2, graph=graph,
+        coins=CoinAssignment.by_degree(graph, grover), input_slots=((0, 1), (3, 4)),
         accepting=frozenset({2}), rejecting=frozenset(), steps=1,
     )
+    # a slot table forged past the constructor's check: both positions share
+    # their rails, so "aa" and "bb" load one slot twice
+    object.__setattr__(machine, "slot_indices", ((0, 1), (0, 1)))
     assert np.linalg.norm(encode(machine, *[symbols(machine, ["ab", "ba"])] * 2,
                                  np.ones(2)), axis=1) == pytest.approx(1.0)
     rows = symbols(machine, ["ab", "bb"])

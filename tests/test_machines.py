@@ -15,7 +15,6 @@ from walklang import (
     initial_state,
     machine_for_length,
     member_word,
-    reference_word,
     sequential_ab,
     sequential_eq,
     sequential_word,
@@ -24,6 +23,7 @@ from walklang import (
     vertex_probability,
     word_acceptance,
 )
+from walklang.coins import grover
 from walklang.encoding import encode, symbols
 from walklang.machines import CHUNK, FAMILIES, Machine, acceptances, final_amplitudes
 from walklang.walk import WalkState, all_vertex_probabilities, evolve_batch
@@ -300,6 +300,26 @@ def test_empirical_error_margins():
 
 # -- structure and reproducibility -------------------------------------------
 
+def test_machine_rejects_input_positions_that_share_a_slot():
+    graph = PortGraph([(0, 2), (1, 2)])
+    with pytest.raises(ValueError, match="input positions share flat slot 0$"):
+        Machine(
+            family="shared-rails", kind="spatial", word_length=2, graph=graph,
+            coins=CoinAssignment.by_degree(graph, grover), input_slots=((0, 1), (0, 1)),
+            accepting=frozenset({2}), rejecting=frozenset(), steps=1,
+        )
+    # one rail serving as both the a-rail and the b-rail of a position
+    with pytest.raises(ValueError, match="input positions share flat slot 1$"):
+        Machine(
+            family="shared-rails", kind="spatial", word_length=1, graph=graph,
+            coins=CoinAssignment.by_degree(graph, grover), input_slots=((1, 1),),
+            accepting=frozenset({2}), rejecting=frozenset(), steps=1,
+        )
+    machine = sequential_ab(3)
+    with pytest.raises(ValueError, match="input positions share flat slot 8$"):
+        dataclasses.replace(machine, input_slots=(0, 2, 2), member=None)
+
+
 def test_machine_rejects_overlapping_sets():
     machine = spatial_eq(1)
     with pytest.raises(ValueError, match="overlap"):
@@ -367,12 +387,24 @@ def test_machine_for_length_unknown_family():
 FAMILY_LANGUAGE = {"spatial-eq": "eq", "spatial-ab": "ab", "seq-ab": "ab", "seq-eq": "eq"}
 
 
+# each language's member word for n = 2, 4, ..., 16, written out in full
+REFERENCE_WORDS = {
+    "eq": ["ab", "aabb", "aaabbb", "aaaabbbb", "aaaaabbbbb", "aaaaaabbbbbb",
+           "aaaaaaabbbbbbb", "aaaaaaaabbbbbbbb"],
+    "ab": ["ab", "abab", "ababab", "abababab", "ababababab", "abababababab",
+           "ababababababab", "abababababababab"],
+}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_member_word_agrees_with_reference_word(family):
     assert set(FAMILY_LANGUAGE) == set(FAMILIES)
+    expected = {len(w): w for w in REFERENCE_WORDS[FAMILY_LANGUAGE[family]]}
+    assert sorted(expected) == list(range(2, 17, 2))
     for n in range(1, 17):
-        expected = reference_word(FAMILY_LANGUAGE[family], n) if n >= 2 and n % 2 == 0 else None
-        assert member_word(family, n) == expected
+        assert member_word(family, n) == expected.get(n)
+    with pytest.raises(ValueError, match="unknown family"):
+        member_word("spatial-xy", 4)
 
 
 def assert_evolve_matches_reference_loop(machine):

@@ -3,17 +3,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walklang import (
-    CoinAssignment,
     PortGraph,
     WalkState,
+    encoding,
+    evolve,
     fidelity,
     jaro,
-    reference_word,
+    machine_for_length,
     step,
 )
 from walklang import coins
+from walklang.machines import CHUNK, final_amplitudes
+from walklang.walk import evolve_batch
 
-from helpers import all_words, hadamard_line_coins, line_graph
+from helpers import all_words, hadamard_line_coins, line_graph, reference_fidelity
 
 words = st.text(alphabet="ab", min_size=1, max_size=10)
 
@@ -99,41 +102,49 @@ def test_jaro_brute_force_exhaustive_short():
                     )
 
 
-def test_reference_words():
-    assert reference_word("eq", 4) == "aabb"
-    assert reference_word("ab", 6) == "ababab"
-    assert reference_word("eq", 5) == "aabb"
-    assert reference_word("ab", 3) == "ab"
-    with pytest.raises(ValueError):
-        reference_word("eq", 1)
-    with pytest.raises(ValueError):
-        reference_word("zz", 4)
-
-
 def two_port_state(x, y):
     return WalkState(PortGraph([(0, 1)]), np.array([x, y], dtype=complex))
 
 
+def rows(*states):
+    return np.array([s.amplitudes for s in states])
+
+
 def test_fidelity_basics():
     s = two_port_state(1, 0)
-    assert fidelity(s, s) == 1.0
+    assert fidelity(s, rows(s)).tolist() == [1.0]
     t = two_port_state(0, 1)
-    assert fidelity(WalkState(s.graph, s.amplitudes), WalkState(s.graph, t.amplitudes)) == 0.0
+    assert fidelity(WalkState(s.graph, s.amplitudes), rows(t)).tolist() == [0.0]
+    assert fidelity(s, rows(t, s, t)).tolist() == [0.0, 1.0, 0.0]
+    assert fidelity(s, np.empty((0, 2))).shape == (0,)
 
 
 def test_fidelity_half():
     r = 1 / np.sqrt(2)
     a = two_port_state(1, 0)
     b = WalkState(a.graph, np.array([r, r]))
-    assert fidelity(a, b) == pytest.approx(0.5, abs=1e-12)
+    assert fidelity(a, rows(b))[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_fidelity_of_basis_and_hadamard_rows():
+    g = PortGraph([(0, 1)])
+    a = WalkState.from_basis(g, 0, 0)
+    b = WalkState.from_basis(g, 1, 0)
+    assert fidelity(a, rows(a, b)).tolist() == [pytest.approx(1.0), 0.0]
+    h = coins.hadamard()
+    c = WalkState(g, h @ np.array([1, 0]))
+    d = WalkState(g, h @ np.array([0, 1]))
+    assert fidelity(c, rows(d))[0] < 1e-30
 
 
 def test_fidelity_mismatched_bases():
     a = two_port_state(1, 0)
     g = line_graph(3)
     b = WalkState.from_basis(g, 0, 0)
-    with pytest.raises(ValueError):
-        fidelity(a, b)
+    with pytest.raises(ValueError, match=r"shape \(1, 4\), reference has 2 ports"):
+        fidelity(a, rows(b))
+    with pytest.raises(ValueError, match=r"shape \(2,\), reference has 2 ports"):
+        fidelity(a, a.amplitudes)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -148,13 +159,48 @@ def test_fidelity_invariant_under_walk_step(seed):
         return WalkState(g, amps / np.linalg.norm(amps))
 
     psi, phi = random_state(), random_state()
-    before = fidelity(psi, phi)
-    after = fidelity(step(psi, cs), step(phi, cs))
+    before = fidelity(psi, rows(phi))[0]
+    after = fidelity(step(psi, cs), rows(step(phi, cs)))[0]
     assert after == pytest.approx(before, abs=1e-12)
 
 
 def test_fidelity_rejects_a_nan_overlap():
     s = WalkState.from_basis(PortGraph([(0, 1)]), 0, 0)
-    holds_nan = WalkState(s.graph, np.array([np.nan, 0.0]), _checked=True)
-    with pytest.raises(ValueError, match="fidelity is nan"):
+    holds_nan = np.array([[1.0, 0.0], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="fidelity is nan at row 1"):
         fidelity(s, holds_nan)
+    with pytest.raises(ValueError, match="at row 0: a row holds a non-finite amplitude"):
+        fidelity(s, np.array([[np.inf, 0.0]]))
+    with pytest.raises(ValueError, match="fidelity overflows"):
+        fidelity(s, np.array([[0.5, 0.0], [1e200, 0.0]]))
+
+
+def test_fidelity_matches_the_per_row_oracle_on_batch_rows():
+    # qinput's rows for aaabbb on spatial-eq: 63 words times 11 etas
+    machine = machine_for_length("spatial-eq", 6)
+    base = "aaabbb"
+    reference = evolve(encoding.initial_state(machine, base), machine.coins, machine.steps)
+    others = [w for w in encoding.words_of_length(6) if w != base]
+    first = np.broadcast_to(encoding.symbols(machine, [base]), (len(others) * 11, 6))
+    second = np.repeat(encoding.symbols(machine, others), 11, axis=0)
+    eta = np.tile(np.linspace(0.0, 1.0, 11), len(others))
+    amps = encoding.encode(machine, first, second, eta)
+    final = evolve_batch(amps, machine.coins, machine.steps)
+    assert final.flags.f_contiguous and not final.flags.c_contiguous
+    expected = reference_fidelity(reference, final)
+    assert np.array_equal(fidelity(reference, final), expected)
+    # chunk by chunk, across every CHUNK-row boundary, the same values
+    chunks = [fidelity(reference, f) for f in final_amplitudes(machine, first, second, eta)]
+    assert len(chunks) == -(-len(final) // CHUNK) > 1
+    assert np.array_equal(np.concatenate(chunks), expected)
+    # the eta = 1 rows reproduce the base word, whose overlap squares above 1
+    ref = reference.amplitudes
+    assert abs(complex(np.vdot(ref, ref))) ** 2 > 1.0
+    assert fidelity(reference, final[10::11]).tolist() == [1.0] * len(others)
+    # a strided row may round differently; the contiguous copy is what is measured
+    strided = [abs(complex(np.vdot(ref, row))) ** 2 for row in final]
+    assert not np.array_equal(strided, expected)
+    holds_nan = np.array(final)
+    holds_nan[CHUNK, 0] = np.nan
+    with pytest.raises(ValueError, match=f"fidelity is nan at row {CHUNK}"):
+        fidelity(reference, holds_nan)

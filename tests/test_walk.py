@@ -9,7 +9,6 @@ from walklang import (
     WalkState,
     dense_step_matrix,
     evolve,
-    inner_product,
     spatial_eq,
     step,
     vertex_probability,
@@ -112,18 +111,6 @@ def test_vertex_probability_basics():
     assert vertex_probability(s, 0) == 0.0
     total = sum(vertex_probability(s, v) for v in g.vertices)
     assert total == pytest.approx(1.0, abs=1e-15)
-
-
-def test_inner_product_basics():
-    g = single_edge()
-    a = WalkState.from_basis(g, 0, 0)
-    b = WalkState.from_basis(g, 1, 0)
-    assert inner_product(a, a) == pytest.approx(1.0)
-    assert inner_product(a, b) == 0.0
-    h = coins.hadamard()
-    c = WalkState(g, h @ np.array([1, 0]))
-    d = WalkState(g, h @ np.array([0, 1]))
-    assert abs(inner_product(c, d)) < 1e-15
 
 
 def test_dense_matrix_single_edge_identity_coins_is_swap():
