@@ -12,7 +12,6 @@ from .walk import (
     dense_step_matrix,
 )
 from .encoding import (
-    QuantumInput,
     enumerate_words,
     initial_state,
     quantum_initial_state,
@@ -20,9 +19,7 @@ from .encoding import (
     spatial_initial_state,
 )
 from .machines import (
-    AcceptanceVerdict,
     Machine,
-    acceptance_probability,
     acceptances,
     classify,
     empirical_error_margin,
@@ -50,15 +47,12 @@ __all__ = [
     "evolve_batch",
     "vertex_probability",
     "dense_step_matrix",
-    "QuantumInput",
     "enumerate_words",
     "initial_state",
     "quantum_initial_state",
     "sequential_initial_state",
     "spatial_initial_state",
-    "AcceptanceVerdict",
     "Machine",
-    "acceptance_probability",
     "acceptances",
     "classify",
     "empirical_error_margin",

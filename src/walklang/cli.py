@@ -84,6 +84,9 @@ def run_qinput(base: str, family: str, eta_points: int, out_path: Path) -> None:
         raise ValueError(f"--eta-points must be >= 2, got {eta_points}")
     encoding.check_word(base)
     n = len(base)
+    # every other word of the base's length is a row, so the length is capped as in sweep
+    if n > MAX_SWEEP_LEN:
+        raise ValueError(f"--base must have at most {MAX_SWEEP_LEN} symbols, got {n}")
     if machines.member_word(family, n) != base:
         raise ValueError(f"{base!r} is not the member word of length {n} for {family}")
     out_path.write_text("".join(_qinput_lines(base, family, eta_points)), newline="\n")
@@ -153,6 +156,9 @@ def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def run_verify(oracle_limit: int = 64, cutpoint: float = 0.9, margin: float = 0.05) -> int:
     """Run the self-check suite, one line per check on stdout; return 0 when all pass."""
+    # the random graphs draw up to oracle_limit / 2 edges and a dense matrix of that size
+    if not 0 <= oracle_limit <= 256:
+        raise ValueError(f"--oracle-limit must be in 0..256, got {oracle_limit}")
     machines.check_cut(cutpoint, margin)
     failures = 0
 
@@ -232,21 +238,15 @@ def run_verify(oracle_limit: int = 64, cutpoint: float = 0.9, margin: float = 0.
     report("determinism", same, "rebuilt machines serialize identically")
 
     # membership and bounded error at the default cut-point
-    bad = 0
-    checked = 0
+    bad = checked = 0
     for family in machines.FAMILIES:
-        for pairs in (1, 2):
-            n = 2 * pairs
+        for n in (2, 4):
             machine = machines.machine_for_length(family, n)
-            member = machines.member_word(family, n)
-            for word in encoding.words_of_length(n):
-                state = encoding.initial_state(machine, word)
-                verdict = machines.classify(machine, state, cutpoint, margin).verdict
-                checked += 1
-                if word == member and verdict != "accept":
-                    bad += 1
-                if word != member and verdict == "accept":
-                    bad += 1
+            words = encoding.words_of_length(n)
+            for word, p in zip(words, machines.acceptances(machine, words).tolist()):
+                accepted = machines.classify(p, cutpoint, margin) == "accept"
+                bad += accepted != (word == machine.member)
+            checked += len(words)
     report(
         "classification",
         bad == 0,

@@ -23,7 +23,6 @@ calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -37,7 +36,6 @@ __all__ = [
     "words_of_length",
     "symbols",
     "enumerate_words",
-    "QuantumInput",
     "spatial_initial_state",
     "sequential_initial_state",
     "initial_state",
@@ -74,30 +72,6 @@ def enumerate_words(max_len: int) -> Iterator[str]:
         yield from words_of_length(length)
 
 
-@dataclass(frozen=True)
-class QuantumInput:
-    """Symbol-wise superposition of ``w1`` and ``w2`` with amplitude ratio eta.
-
-    At positions where the words differ, ``w1``'s slot carries relative
-    amplitude ``eta`` and ``w2``'s slot ``sqrt(1 - |eta|^2)``; eta = 1
-    reproduces ``w1`` exactly and eta = 0 reproduces ``w2``.
-    """
-
-    w1: str
-    w2: str
-    eta: complex
-
-    def __post_init__(self):
-        check_word(self.w1)
-        check_word(self.w2)
-        if len(self.w1) != len(self.w2):
-            raise ValueError(
-                f"words must have equal length, got {len(self.w1)} and {len(self.w2)}"
-            )
-        if not abs(self.eta) <= ETA_BOUND:
-            raise ValueError(f"|eta| must be <= 1, got {abs(self.eta)}")
-
-
 def spatial_initial_state(machine, word: str) -> WalkState:
     """Load a word across the input rails of a spatial machine.
 
@@ -126,15 +100,16 @@ def initial_state(machine, word: str) -> WalkState:
     return WalkState(machine.graph, encode(machine, row, row, _ONE)[0], _checked=True)
 
 
-def quantum_initial_state(machine, qinput: QuantumInput) -> WalkState:
-    """Load a symbol-wise superposition of two words.
+def quantum_initial_state(machine, w1: str, w2: str, eta: complex) -> WalkState:
+    """Load a symbol-wise superposition of ``w1`` and ``w2`` with amplitude ratio eta.
 
     Matching positions are encoded classically; differing positions split
     their ``1/sqrt(n)`` amplitude between the two words' slots in the
-    ratio eta to sqrt(1 - |eta|^2).
+    ratio eta to sqrt(1 - |eta|^2), so eta = 1 loads ``w1`` and eta = 0
+    loads ``w2``.  Both words must have the machine's length and |eta| <= 1.
     """
-    first, second = symbols(machine, [qinput.w1]), symbols(machine, [qinput.w2])
-    amps = encode(machine, first, second, np.array([qinput.eta], dtype=np.complex128))
+    first, second = symbols(machine, [w1]), symbols(machine, [w2])
+    amps = encode(machine, first, second, np.array([eta], dtype=np.complex128))
     return WalkState(machine.graph, amps[0], _checked=True)
 
 

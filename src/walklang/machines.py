@@ -38,12 +38,11 @@ import numpy as np
 from . import coins as coinlib
 from . import encoding
 from .graph import PortGraph
-from .walk import CoinAssignment, WalkState, evolve, evolve_batch, vertex_masses
+from .walk import CoinAssignment, _check_steps, evolve, evolve_batch, vertex_masses
 from .walk import vertex_probability
 
 __all__ = [
     "Machine",
-    "AcceptanceVerdict",
     "FAMILIES",
     "spatial_eq",
     "spatial_ab",
@@ -52,7 +51,6 @@ __all__ = [
     "sequential_word",
     "machine_for_length",
     "member_word",
-    "acceptance_probability",
     "word_acceptance",
     "final_amplitudes",
     "acceptances",
@@ -67,22 +65,23 @@ FAMILIES = ("spatial-eq", "spatial-ab", "seq-ab", "seq-eq")
 
 @dataclass(frozen=True, eq=False)
 class Machine:
-    """A built walk machine: graph, coins, input layout and schedule.
+    """A built walk machine: coins (and with them the graph), input layout and schedule.
 
-    ``input_slots`` maps 0-based symbol positions to the pair of input
-    rail vertices (spatial) or the chain vertex (sequential) that carries
-    the symbol.  ``steps`` is the measurement time for this machine's
-    word length.  ``member`` is the word of ``word_length`` that the machine
-    accepts with certainty, or None when that length has none; construction
-    checks that it does, within 1e-12.  ``slot_indices`` is derived once
-    from ``input_slots``: per position, the flat state indices of its a-slot
-    and b-slot, no index used twice.
+    ``kind`` is ``"spatial"`` or ``"sequential"``.  ``input_slots`` maps
+    0-based symbol positions to the pair of input rail vertices (spatial) or
+    the chain vertex (sequential) that carries the symbol.  ``steps`` is the
+    measurement time for this machine's word length, a non-negative int.
+    ``member`` is the word of ``word_length`` that the machine accepts with
+    certainty, or None when that length has none; construction checks that
+    it does, within 1e-12.  ``graph`` is ``coins.graph`` and ``word_length``
+    is ``len(input_slots)``, so neither can disagree with what it derives
+    from.  ``slot_indices`` is derived once from ``input_slots``: per
+    position, the flat state indices of its a-slot and b-slot, no index used
+    twice.  Accepting and rejecting ids must be vertices of the graph.
     """
 
     family: str
     kind: str
-    word_length: int
-    graph: PortGraph
     coins: CoinAssignment
     input_slots: tuple
     accepting: frozenset[int]
@@ -91,7 +90,17 @@ class Machine:
     member: str | None = None
     slot_indices: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
+    graph = property(lambda self: self.coins.graph)
+    word_length = property(lambda self: len(self.input_slots))
+
     def __post_init__(self):
+        if self.kind not in ("spatial", "sequential"):
+            raise ValueError(f"machine kind must be 'spatial' or 'sequential', got {self.kind!r}")
+        _check_steps(self.steps)
+        vertices = range(self.graph.num_vertices)
+        stray = [v for v in self.accepting | self.rejecting if v not in vertices]
+        if stray:
+            raise ValueError(f"accepting/rejecting id {stray[0]!r} is not a vertex of the graph")
         if self.accepting & self.rejecting:
             raise ValueError("accepting and rejecting sets overlap")
         inputs = set()
@@ -183,8 +192,6 @@ def _build_spatial(family: str, pairs: int, surplus: bool) -> Machine:
     return Machine(
         family=family,
         kind="spatial",
-        word_length=n,
-        graph=graph,
         coins=CoinAssignment.by_degree(graph, coinlib.grover),
         input_slots=tuple(rails),
         accepting=frozenset({accept}),
@@ -270,8 +277,6 @@ def _sequential_machine(
     return Machine(
         family=family,
         kind="sequential",
-        word_length=n,
-        graph=graph,
         coins=coin_set,
         input_slots=tuple(range(n)),
         accepting=frozenset({accept}),
@@ -419,14 +424,10 @@ def machine_for_length(family: str, n: int) -> Machine:
 # acceptance
 # ---------------------------------------------------------------------------
 
-def acceptance_probability(machine: Machine, state: WalkState) -> float:
-    """Evolve the machine's schedule and measure the accepting set."""
-    final = evolve(state, machine.coins, machine.steps)
-    return sum(vertex_probability(final, v) for v in machine.accepting)
-
-
 def word_acceptance(machine: Machine, word: str) -> float:
-    return acceptance_probability(machine, encoding.initial_state(machine, word))
+    """Load one word, evolve the machine's schedule and measure the accepting set."""
+    final = evolve(encoding.initial_state(machine, word), machine.coins, machine.steps)
+    return sum(vertex_probability(final, v) for v in machine.accepting)
 
 
 # Rows per batch: enough to spread numpy's per-call cost over many words,
@@ -449,7 +450,7 @@ def acceptances(machine: Machine, words: Sequence[str]) -> np.ndarray:
     """:func:`word_acceptance` of every word, in order, bit for bit.
 
     Each accepting vertex is measured on every row, and the rows are summed
-    from 0 in ``accepting`` order, as :func:`acceptance_probability` does.
+    from 0 in ``accepting`` order, as :func:`word_acceptance` does.
     """
     rows = encoding.symbols(machine, words)
     out = np.empty(len(rows))
@@ -461,20 +462,6 @@ def acceptances(machine: Machine, words: Sequence[str]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class AcceptanceVerdict:
-    """Cut-point decision for one run.
-
-    accept when probability > cutpoint + margin, reject when it is below
-    cutpoint - margin, within-margin otherwise.
-    """
-
-    probability: float
-    cutpoint: float
-    margin: float
-    verdict: str
-
-
 def check_cut(cutpoint: float, margin: float) -> None:
     """Reject a cut-point outside [0, 1) or a margin that is not positive and finite."""
     if not 0.0 <= cutpoint < 1.0:
@@ -483,18 +470,18 @@ def check_cut(cutpoint: float, margin: float) -> None:
         raise ValueError(f"margin must be positive and finite, got {margin}")
 
 
-def classify(
-    machine: Machine, state: WalkState, cutpoint: float = 0.9, margin: float = 0.05
-) -> AcceptanceVerdict:
+def classify(p: float, cutpoint: float = 0.9, margin: float = 0.05) -> str:
+    """Cut-point verdict for an acceptance probability.
+
+    "accept" when p > cutpoint + margin, "reject" when p < cutpoint - margin,
+    "within-margin" otherwise.
+    """
     check_cut(cutpoint, margin)
-    p = acceptance_probability(machine, state)
     if p > cutpoint + margin:
-        verdict = "accept"
-    elif p < cutpoint - margin:
-        verdict = "reject"
-    else:
-        verdict = "within-margin"
-    return AcceptanceVerdict(p, cutpoint, margin, verdict)
+        return "accept"
+    if p < cutpoint - margin:
+        return "reject"
+    return "within-margin"
 
 
 def empirical_error_margin(machine: Machine) -> float:

@@ -166,6 +166,12 @@ def _check_norm(amps: np.ndarray) -> None:
         raise ValueError(f"state is not normalised (norm {float(norm)})")
 
 
+def _check_steps(steps) -> None:
+    """Raise unless ``steps`` is a non-negative ``int``; a ``bool`` is not a step count."""
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 0:
+        raise ValueError(f"step count must be a non-negative int, got {steps!r}")
+
+
 def step(state: WalkState, coins: CoinAssignment) -> WalkState:
     """One application of U = SC: coin blocks, then the shift permutation."""
     return evolve(state, coins, 1)
@@ -192,8 +198,7 @@ def evolve_batch(amplitudes: np.ndarray, coins: CoinAssignment, steps: int) -> n
     still one gemv per vertex per row, so a row evolves bit for bit as it
     would alone.  The rows of the result are not contiguous in general.
     """
-    if steps < 0:
-        raise ValueError(f"step count must be non-negative, got {steps}")
+    _check_steps(steps)
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 2 or amps.shape[1] != coins.graph.num_ports:
         raise ValueError(

@@ -75,8 +75,7 @@ def test_criterion_3_bounded_error_exhaustive():
             bound = 1 - 1 / (2 * m)
             for word in all_words(2 * m):
                 p = word_acceptance(machine, word)
-                state = initial_state(machine, word)
-                verdict = classify(machine, state, 0.9, 0.05).verdict
+                verdict = classify(p, 0.9, 0.05)
                 checked += 1
                 if word == member:
                     assert verdict == "accept"

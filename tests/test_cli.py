@@ -15,6 +15,7 @@ from walklang import (
     vertex_probability,
     word_acceptance,
 )
+from walklang import cli
 from walklang.cli import _clamp, main, run_verify
 from walklang.walk import state_to_text
 
@@ -127,6 +128,21 @@ def test_qinput_rejects_non_member_base(tmp_path):
     assert code == 2
 
 
+def test_qinput_rejects_a_base_longer_than_the_sweep_cap(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "x.csv"
+    # a^9 b^9 is a member, but its 2^18 words are rejected before any is built
+    assert main(["qinput", "--base", "a" * 9 + "b" * 9, "--eta-points", "2",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "walklang: error: --base must have at most 16 symbols, got 18\n")
+    assert not out.exists()
+    # the cap is the sweep's own constant
+    monkeypatch.setattr(cli, "MAX_SWEEP_LEN", 4)
+    assert main(["qinput", "--base", "aabb", "--eta-points", "2", "--out", str(out)]) == 0
+    assert main(["qinput", "--base", "aaabbb", "--eta-points", "2", "--out", str(out)]) == 2
+    assert "--base must have at most 4 symbols, got 6" in capsys.readouterr().err
+
+
 def test_simulate_replays_exported_machine(tmp_path, capsys):
     machine = spatial_eq(1)
     paths = export_machine(machine, tmp_path)
@@ -233,6 +249,14 @@ def test_verify_rejects_cutpoint_outside_the_unit_interval(capsys, cutpoint):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"cutpoint must be in [0, 1), got {cutpoint}" in err
+
+
+@pytest.mark.parametrize("limit", ["-1", "257"])
+def test_verify_rejects_oracle_limit_outside_its_range(capsys, limit):
+    assert main(["verify", "--oracle-limit", limit]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--oracle-limit must be in 0..256, got {limit}" in err
 
 
 def test_cli_usage_error_exit_code():

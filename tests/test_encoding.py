@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walklang import (
-    QuantumInput,
     enumerate_words,
     initial_state,
     machine_for_length,
@@ -124,10 +123,14 @@ def test_encoding_rejects_wrong_kind_and_length():
 
 
 def test_quantum_input_validation():
-    with pytest.raises(ValueError, match="equal length"):
-        QuantumInput("ab", "a", 0.5)
+    machine = spatial_eq(1)
+    for w1, w2 in (("ab", "a"), ("a", "ab")):
+        with pytest.raises(ValueError, match="machine expects words of length 2, got 1"):
+            quantum_initial_state(machine, w1, w2, 0.5)
+    with pytest.raises(ValueError, match="symbols outside"):
+        quantum_initial_state(machine, "ab", "bc", 0.5)
     with pytest.raises(ValueError, match="eta"):
-        QuantumInput("ab", "ba", 1.5)
+        quantum_initial_state(machine, "ab", "ba", 1.5)
 
 
 @pytest.mark.parametrize("kind,builder", [
@@ -137,16 +140,16 @@ def test_quantum_input_validation():
 def test_quantum_input_limits_match_classical(kind, builder):
     machine = builder()
     for w1, w2 in itertools.permutations(["aabb", "abba", "bbaa"], 2):
-        at_one = quantum_initial_state(machine, QuantumInput(w1, w2, 1.0))
+        at_one = quantum_initial_state(machine, w1, w2, 1.0)
         assert np.array_equal(at_one.amplitudes, initial_state(machine, w1).amplitudes)
-        at_zero = quantum_initial_state(machine, QuantumInput(w1, w2, 0.0))
+        at_zero = quantum_initial_state(machine, w1, w2, 0.0)
         assert np.array_equal(at_zero.amplitudes, initial_state(machine, w2).amplitudes)
 
 
 def test_quantum_input_splits_differing_slots():
     machine = spatial_eq(2)
     eta = 1 / np.sqrt(2)
-    state = quantum_initial_state(machine, QuantumInput("aabb", "bbaa", eta))
+    state = quantum_initial_state(machine, "aabb", "bbaa", eta)
     assert abs(state.norm() - 1.0) < 1e-12
     expected = 0.5 * eta
     for k, (s1, s2) in enumerate(zip("aabb", "bbaa")):
@@ -162,7 +165,7 @@ def test_quantum_input_splits_differing_slots():
 def test_quantum_input_norm(eta, w1):
     w2 = "".join("ab"[c == "a"] for c in w1)  # complement, all slots differ
     machine = machine_for_length("seq-ab", len(w1))
-    state = quantum_initial_state(machine, QuantumInput(w1, w2, complex(eta)))
+    state = quantum_initial_state(machine, w1, w2, complex(eta))
     assert abs(state.norm() - 1.0) < 1e-12
 
 
@@ -178,7 +181,7 @@ def test_enumerate_words_concatenates_words_of_length(k):
 
 def test_quantum_input_rejects_nan_eta():
     with pytest.raises(ValueError, match="eta"):
-        QuantumInput("ab", "ba", float("nan"))
+        quantum_initial_state(spatial_eq(1), "ab", "ba", float("nan"))
 
 
 # 0.8040251668887082 ** 2 rounds differently from numpy's square of it
@@ -203,7 +206,7 @@ def test_encode_matches_the_per_word_loop_bit_for_bit(family, rows):
                  np.array(eta, dtype=np.complex128))
     for k, row in enumerate(rows):
         assert got[k].tobytes() == reference_load(machine, *row).tobytes()
-    single = quantum_initial_state(machine, QuantumInput(*rows[0]))
+    single = quantum_initial_state(machine, *rows[0])
     assert single.amplitudes.tobytes() == got[0].tobytes()
     classical = initial_state(machine, w1s[0])
     assert classical.amplitudes.tobytes() == reference_load(machine, w1s[0], w1s[0], 1.0).tobytes()
@@ -244,7 +247,7 @@ def test_encode_rejects_bad_arguments():
 def test_encode_guards_the_norm_of_every_row():
     graph = PortGraph([(0, 2), (1, 2), (3, 2), (4, 2)])
     machine = Machine(
-        family="two-rails", kind="spatial", word_length=2, graph=graph,
+        family="two-rails", kind="spatial",
         coins=CoinAssignment.by_degree(graph, grover), input_slots=((0, 1), (3, 4)),
         accepting=frozenset({2}), rejecting=frozenset(), steps=1,
     )

@@ -7,7 +7,6 @@ import pytest
 from walklang import (
     CoinAssignment,
     PortGraph,
-    acceptance_probability,
     classify,
     empirical_error_margin,
     evolve,
@@ -151,7 +150,7 @@ def test_sequential_ab_member_certainty_and_five_step_claim():
     on_accept = sum(vertex_probability(after5, v) for v in machine.accepting)
     assert on_accept == pytest.approx(1.0, abs=1e-12)
     assert machine.steps == 6
-    assert acceptance_probability(machine, state) == pytest.approx(1.0, abs=1e-12)
+    assert word_acceptance(machine, "abab") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sequential_ab_smallest_member():
@@ -254,23 +253,22 @@ def test_acceptance_probability_zero_steps_off_accept():
 
 def test_classify_verdicts():
     machine = spatial_eq(2)
-    accept = classify(machine, initial_state(machine, "aabb"), 0.9, 0.05)
-    assert accept.verdict == "accept" and accept.probability == pytest.approx(1.0)
-    reject = classify(machine, initial_state(machine, "abba"), 0.9, 0.05)
-    assert reject.verdict == "reject"
-    margin = classify(machine, initial_state(machine, "abba"), 0.5, 0.05)
-    assert margin.verdict == "within-margin"
+    member, other = word_acceptance(machine, "aabb"), word_acceptance(machine, "abba")
+    assert member == pytest.approx(1.0) and other == pytest.approx(0.5)
+    assert classify(member, 0.9, 0.05) == "accept"
+    assert classify(other, 0.9, 0.05) == "reject"
+    assert classify(other, 0.5, 0.05) == "within-margin"
     with pytest.raises(ValueError):
-        classify(machine, initial_state(machine, "aabb"), 1.0, 0.05)
+        classify(member, 1.0, 0.05)
     with pytest.raises(ValueError):
-        classify(machine, initial_state(machine, "aabb"), 0.9, 0.0)
+        classify(member, 0.9, 0.0)
 
 
 @pytest.mark.parametrize("margin", [float("nan"), float("inf")])
 def test_classify_rejects_margins_that_are_not_positive_and_finite(margin):
     machine = spatial_eq(1)
     with pytest.raises(ValueError, match="margin"):
-        classify(machine, initial_state(machine, "ab"), 0.9, margin)
+        classify(word_acceptance(machine, "ab"), 0.9, margin)
 
 
 def test_classify_exhaustive_default_cutpoint():
@@ -278,7 +276,7 @@ def test_classify_exhaustive_default_cutpoint():
         machine = spatial_eq(pairs)
         member = member_word("spatial-eq", 2 * pairs)
         for word in all_words(2 * pairs):
-            verdict = classify(machine, initial_state(machine, word)).verdict
+            verdict = classify(word_acceptance(machine, word))
             assert verdict == ("accept" if word == member else "reject")
 
 
@@ -304,14 +302,14 @@ def test_machine_rejects_input_positions_that_share_a_slot():
     graph = PortGraph([(0, 2), (1, 2)])
     with pytest.raises(ValueError, match="input positions share flat slot 0$"):
         Machine(
-            family="shared-rails", kind="spatial", word_length=2, graph=graph,
+            family="shared-rails", kind="spatial",
             coins=CoinAssignment.by_degree(graph, grover), input_slots=((0, 1), (0, 1)),
             accepting=frozenset({2}), rejecting=frozenset(), steps=1,
         )
     # one rail serving as both the a-rail and the b-rail of a position
     with pytest.raises(ValueError, match="input positions share flat slot 1$"):
         Machine(
-            family="shared-rails", kind="spatial", word_length=1, graph=graph,
+            family="shared-rails", kind="spatial",
             coins=CoinAssignment.by_degree(graph, grover), input_slots=((1, 1),),
             accepting=frozenset({2}), rejecting=frozenset(), steps=1,
         )
@@ -326,8 +324,6 @@ def test_machine_rejects_overlapping_sets():
         Machine(
             family="spatial-eq",
             kind="spatial",
-            word_length=2,
-            graph=machine.graph,
             coins=machine.coins,
             input_slots=machine.input_slots,
             accepting=frozenset({5}),
@@ -338,14 +334,41 @@ def test_machine_rejects_overlapping_sets():
         Machine(
             family="spatial-eq",
             kind="spatial",
-            word_length=2,
-            graph=machine.graph,
             coins=machine.coins,
             input_slots=machine.input_slots,
             accepting=frozenset(machine.input_slots[0][:1]),
             rejecting=frozenset(),
             steps=3,
         )
+
+
+def test_machine_graph_and_word_length_are_derived():
+    machine = dataclasses.replace(spatial_eq(2), coins=spatial_ab(2).coins, member=None)
+    assert machine.graph is machine.coins.graph
+    assert machine.graph == spatial_ab(2).graph != spatial_eq(2).graph
+    assert machine.word_length == len(machine.input_slots) == 4
+    words = all_words(4)
+    got = acceptances(machine, words)
+    assert got.tolist() == [word_acceptance(machine, w) for w in words]
+    # the rails of both layouts coincide, so these are the ab machine's numbers
+    assert got.tolist() == pytest.approx([SPATIAL_AB_2[w] for w in words], abs=1e-12)
+    with pytest.raises(TypeError):
+        dataclasses.replace(machine, graph=spatial_eq(2).graph)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        machine.word_length = 3
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"kind": "weird"}, "kind must be 'spatial' or 'sequential', got 'weird'"),
+    ({"accepting": frozenset({999})}, "id 999 is not a vertex"),
+    ({"rejecting": frozenset({-1})}, "id -1 is not a vertex"),
+    ({"steps": -1}, "non-negative int, got -1"),
+    ({"steps": True}, "non-negative int, got True"),
+    ({"steps": 2.5}, "non-negative int, got 2.5"),
+], ids=["kind", "accepting", "rejecting", "negative-steps", "bool-steps", "float-steps"])
+def test_machine_is_checked_whole_at_construction(change, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(spatial_eq(2), **change)
 
 
 def test_coin_dimensions_match_degrees():

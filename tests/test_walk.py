@@ -477,8 +477,9 @@ def test_evolve_batch_checks_its_arguments():
     g = line_graph(3)
     cs = hadamard_line_coins(g)
     amps = np.eye(g.num_ports, dtype=np.complex128)
-    with pytest.raises(ValueError, match="non-negative"):
-        evolve_batch(amps, cs, -1)
+    for steps in (-1, True, 2.5):
+        with pytest.raises(ValueError, match=f"non-negative int, got {steps!r}"):
+            evolve_batch(amps, cs, steps)
     for bad in (amps[0], amps[:, :-1]):
         with pytest.raises(ValueError, match=f"graph has {g.num_ports} ports"):
             evolve_batch(bad, cs, 1)
