@@ -33,7 +33,7 @@ from .machines import (
     spatial_eq,
     word_acceptance,
 )
-from .metrics import JaroBreakdown, fidelity, jaro
+from .metrics import fidelity, jaro
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "spatial_ab",
     "spatial_eq",
     "word_acceptance",
-    "JaroBreakdown",
     "fidelity",
     "jaro",
 ]

@@ -71,7 +71,7 @@ def _sweep_lines(family: str, max_len: int) -> Iterator[str]:
         probs = _clamp(machines.acceptances(machine, words)).tolist()
         for word, acceptance in zip(words, probs):
             index += 1
-            score = 0.0 if reference is None else metrics.jaro(word, reference).distance
+            score = 0.0 if reference is None else metrics.jaro(word, reference)
             yield f"{index},{word},{_fmt(acceptance)},{_fmt(score)}\n"
 
 
@@ -257,7 +257,7 @@ def run_verify(oracle_limit: int = 64, cutpoint: float = 0.9, margin: float = 0.
     worst = 0.0
     for w1 in encoding.enumerate_words(5):
         for w2 in encoding.enumerate_words(5):
-            got = metrics.jaro(w1, w2).distance
+            got = metrics.jaro(w1, w2)
             worst = max(worst, abs(got - _jaro_rescan(w1, w2)))
     report("jaro-oracle", worst < 1e-12, f"max defect {worst:.3e} over words to length 5")
 

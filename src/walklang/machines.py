@@ -68,16 +68,18 @@ class Machine:
     """A built walk machine: coins (and with them the graph), input layout and schedule.
 
     ``kind`` is ``"spatial"`` or ``"sequential"``.  ``input_slots`` maps
-    0-based symbol positions to the pair of input rail vertices (spatial) or
-    the chain vertex (sequential) that carries the symbol.  ``steps`` is the
-    measurement time for this machine's word length, a non-negative int.
+    0-based symbol positions, at least one, to the pair of input rail
+    vertices (spatial) or the chain vertex (sequential) that carries the
+    symbol.  ``steps`` is the measurement time for this machine's word
+    length, a non-negative int.
     ``member`` is the word of ``word_length`` that the machine accepts with
     certainty, or None when that length has none; construction checks that
     it does, within 1e-12.  ``graph`` is ``coins.graph`` and ``word_length``
     is ``len(input_slots)``, so neither can disagree with what it derives
     from.  ``slot_indices`` is derived once from ``input_slots``: per
     position, the flat state indices of its a-slot and b-slot, no index used
-    twice.  Accepting and rejecting ids must be vertices of the graph.
+    twice.  ``accepting`` and ``rejecting`` are frozensets of ``int``
+    vertex ids of the graph.
     """
 
     family: str
@@ -97,16 +99,21 @@ class Machine:
         if self.kind not in ("spatial", "sequential"):
             raise ValueError(f"machine kind must be 'spatial' or 'sequential', got {self.kind!r}")
         _check_steps(self.steps)
+        if not (isinstance(self.accepting, frozenset) and isinstance(self.rejecting, frozenset)):
+            raise ValueError("accepting and rejecting must be frozensets of vertex ids")
         vertices = range(self.graph.num_vertices)
-        stray = [v for v in self.accepting | self.rejecting if v not in vertices]
+        ids = self.accepting | self.rejecting
+        stray = [v for v in ids if type(v) is not int or v not in vertices]
         if stray:
             raise ValueError(f"accepting/rejecting id {stray[0]!r} is not a vertex of the graph")
         if self.accepting & self.rejecting:
             raise ValueError("accepting and rejecting sets overlap")
+        if not self.input_slots:
+            raise ValueError("a machine needs at least one input position")
         inputs = set()
         for slot in self.input_slots:
             inputs.update(slot if isinstance(slot, tuple) else (slot,))
-        if (self.accepting | self.rejecting) & inputs:
+        if ids & inputs:
             raise ValueError("accepting/rejecting sets contain input vertices")
         index = self.graph.state_index
         if self.kind == "spatial":
@@ -474,9 +481,12 @@ def classify(p: float, cutpoint: float = 0.9, margin: float = 0.05) -> str:
     """Cut-point verdict for an acceptance probability.
 
     "accept" when p > cutpoint + margin, "reject" when p < cutpoint - margin,
-    "within-margin" otherwise.
+    "within-margin" otherwise.  A ``p`` that is NaN or outside [0, 1], beyond
+    the 1e-12 of rounding the member check allows, is not a probability.
     """
     check_cut(cutpoint, margin)
+    if not 0.0 <= p <= 1.0 + 1e-12:
+        raise ValueError(f"acceptance probability must be in [0, 1], got {p}")
     if p > cutpoint + margin:
         return "accept"
     if p < cutpoint - margin:

@@ -1,75 +1,47 @@
 """String similarity and state fidelity metrics.
 
 :func:`jaro` scores two words; :func:`fidelity` measures a batch of
-amplitude rows against one reference state, one ``vdot`` per row.
-
-Naming warning: the Jaro score computed here is conventionally called the
-Jaro *distance* although it is a similarity, with 1 meaning the strings
-are equal and 0 meaning no character matches at all.  The ``distance``
-field of :class:`JaroBreakdown` follows that convention.
+amplitude rows against one reference state, one ``vdot`` per row.  The
+Jaro score is a similarity: 1 means the words are equal, 0 that no
+character matches.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .walk import WalkState
 
-__all__ = ["JaroBreakdown", "jaro", "fidelity"]
+__all__ = ["jaro", "fidelity"]
 
 
-@dataclass(frozen=True)
-class JaroBreakdown:
-    """Jaro score together with its intermediate quantities.
-
-    match_distance: window half-width, floor(max(|w1|, |w2|) / 2) - 1.
-    matches: number of matched characters.
-    transpositions: half the count of matched positions whose order differs.
-    distance: the Jaro score in [0, 1] (a similarity; see module note).
-    """
-
-    match_distance: int
-    matches: int
-    transpositions: float
-    distance: float
-
-
-def jaro(w1: str, w2: str) -> JaroBreakdown:
+def jaro(w1: str, w2: str) -> float:
     """Jaro score of two non-empty strings.
 
     Characters match when they are the same symbol and their positions lie
-    within the match window of each other; each character is consumed by
-    at most one match, scanning left to right.  For very short strings the
-    window can reach zero, which leaves only same-position matches.
+    within ``max(max(|w1|, |w2|) // 2 - 1, 0)`` of each other; each
+    character is consumed by at most one match, scanning left to right.
+    For very short strings the window is zero, which leaves only
+    same-position matches.
     """
     if not w1 or not w2:
         raise ValueError("jaro is undefined for empty strings")
-    window = max(len(w1), len(w2)) // 2 - 1
-    effective = max(window, 0)
-
-    used2 = [False] * len(w2)
-    matched1: list[int] = []
+    window = max(max(len(w1), len(w2)) // 2 - 1, 0)
+    free: list[str | None] = list(w2)  # a matched symbol of w2 becomes None
+    kept1 = []
     for i, ch in enumerate(w1):
-        lo = max(0, i - effective)
-        hi = min(len(w2), i + effective + 1)
-        for j in range(lo, hi):
-            if not used2[j] and w2[j] == ch:
-                used2[j] = True
-                matched1.append(i)
-                break
-
-    s = len(matched1)
+        try:
+            j = free.index(ch, max(0, i - window), i + window + 1)
+        except ValueError:
+            continue
+        free[j] = None
+        kept1.append(ch)
+    s = len(kept1)
     if s == 0:
-        return JaroBreakdown(window, 0, 0.0, 0.0)
-
-    kept1 = [w1[i] for i in matched1]
-    kept2 = [w2[j] for j, used in enumerate(used2) if used]
-    differing = sum(1 for a, b in zip(kept1, kept2) if a != b)
-    t = differing / 2.0
-    d = (s / len(w1) + s / len(w2) + (s - t) / s) / 3.0
-    return JaroBreakdown(window, s, t, d)
+        return 0.0
+    kept2 = [ch for ch, f in zip(w2, free) if f is None]
+    t = sum(a != b for a, b in zip(kept1, kept2)) / 2.0
+    return (s / len(w1) + s / len(w2) + (s - t) / s) / 3.0
 
 
 def fidelity(reference: WalkState, amplitudes: np.ndarray) -> np.ndarray:

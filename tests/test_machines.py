@@ -258,10 +258,18 @@ def test_classify_verdicts():
     assert classify(member, 0.9, 0.05) == "accept"
     assert classify(other, 0.9, 0.05) == "reject"
     assert classify(other, 0.5, 0.05) == "within-margin"
+    # the largest acceptance of any family's word up to length 16 rounds above 1
+    assert classify(1.0000000000000002) == "accept"
     with pytest.raises(ValueError):
         classify(member, 1.0, 0.05)
     with pytest.raises(ValueError):
         classify(member, 0.9, 0.0)
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), 7.0, -0.1, 1.0 + 2e-12])
+def test_classify_rejects_what_is_not_a_probability(p):
+    with pytest.raises(ValueError, match="acceptance probability must be in"):
+        classify(p)
 
 
 @pytest.mark.parametrize("margin", [float("nan"), float("inf")])
@@ -365,7 +373,14 @@ def test_machine_graph_and_word_length_are_derived():
     ({"steps": -1}, "non-negative int, got -1"),
     ({"steps": True}, "non-negative int, got True"),
     ({"steps": 2.5}, "non-negative int, got 2.5"),
-], ids=["kind", "accepting", "rejecting", "negative-steps", "bool-steps", "float-steps"])
+    ({"accepting": {7}, "member": None}, "must be frozensets of vertex ids"),
+    ({"rejecting": [0], "member": None}, "must be frozensets of vertex ids"),
+    ({"accepting": frozenset({7.0}), "member": None}, "id 7.0 is not a vertex"),
+    ({"accepting": frozenset({7.0})}, "id 7.0 is not a vertex"),
+    ({"rejecting": frozenset({True}), "member": None}, "id True is not a vertex"),
+    ({"input_slots": (), "member": None}, "at least one input position"),
+], ids=["kind", "accepting", "rejecting", "negative-steps", "bool-steps", "float-steps",
+        "plain-set", "list", "float-id", "float-id-with-member", "bool-id", "no-input"])
 def test_machine_is_checked_whole_at_construction(change, message):
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(spatial_eq(2), **change)
