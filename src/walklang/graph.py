@@ -25,6 +25,11 @@ import numpy as np
 __all__ = ["PortGraph"]
 
 
+def _is_id(v) -> bool:
+    """Whether ``v`` can name a vertex: a Python or numpy integer, not a ``bool``."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     """A copy of ``array`` over immutable bytes: no view of it can be made writeable."""
     return np.ndarray(array.shape, array.dtype, array.tobytes())
@@ -46,26 +51,27 @@ class PortGraph:
         """Build the graph of ``edges``, a sequence of ``(u, v)`` pairs.
 
         Raises ``ValueError`` for an empty list, an edge that is not a pair
-        of integer ids, a negative id, or an id below the largest that no
-        edge uses (a vertex with no ports has no basis state and cannot be
-        written to the edge-list format).
+        of integer ids (a ``bool`` is not one), a negative id, or an id
+        below the largest that no edge uses (a vertex with no ports has no
+        basis state and cannot be written to the edge-list format).
         """
         self._edges = tuple(map(tuple, edges))
         if not self._edges:
             raise ValueError("graph has no edges")
+        # checked on the flat list: a set would merge True into 1
+        ends = list(chain.from_iterable(self._edges))
+        if any(len(e) != 2 for e in self._edges) or not all(map(_is_id, ends)):
+            raise ValueError("every edge must be a (u, v) pair of integer ids")
         # the ids are 0 .. n-1 exactly when n distinct ids span 0 .. n-1;
-        # checked on Python ints, before a huge id reaches numpy
-        seen = set(chain.from_iterable(self._edges))
+        # checked on the ids as given, before a huge id reaches numpy
+        seen = set(ends)
         n = len(seen)
         if min(seen) < 0:
             raise ValueError(f"vertex ids must be non-negative, got {min(seen)}")
         if max(seen) != n - 1:
             gap = next(w for w in range(n) if w not in seen)
             raise ValueError(f"vertex {gap} has no ports")
-        ends = np.array(self._edges)
-        if ends.shape != (len(self._edges), 2) or ends.dtype.kind not in "iu":
-            raise ValueError("every edge must be a (u, v) pair of integer ids")
-        ends = ends.reshape(-1)
+        ends = np.array(ends, dtype=np.int64)
         degrees = np.bincount(ends, minlength=n)
         self._degrees = tuple(degrees.tolist())
         offsets = np.zeros(n + 1, dtype=np.int64)
@@ -99,10 +105,13 @@ class PortGraph:
     def vertices(self) -> range:
         return range(len(self._degrees))
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < len(self._degrees):
+    def _vertex(self, v: int) -> int:
+        if not (_is_id(v) and 0 <= v < len(self._degrees)):
             raise ValueError(f"unknown vertex id {v}")
-        return self._degrees[v]
+        return v
+
+    def degree(self, v: int) -> int:
+        return self._degrees[self._vertex(v)]
 
     def degrees(self) -> tuple[int, ...]:
         return self._degrees
@@ -115,9 +124,7 @@ class PortGraph:
 
     def offset(self, v: int) -> int:
         """Start of vertex ``v``'s block in the flat amplitude vector."""
-        if not 0 <= v < len(self._degrees):
-            raise ValueError(f"unknown vertex id {v}")
-        return int(self._offsets[v])
+        return int(self._offsets[self._vertex(v)])
 
     def state_index(self, v: int, c: int) -> int:
         if not 0 <= c < self.degree(v):

@@ -67,23 +67,23 @@ FAMILIES = ("spatial-eq", "spatial-ab", "seq-ab", "seq-eq")
 class Machine:
     """A built walk machine: coins (and with them the graph), input layout and schedule.
 
-    ``kind`` is ``"spatial"`` or ``"sequential"``.  ``input_slots`` maps
-    0-based symbol positions, at least one, to the pair of input rail
-    vertices (spatial) or the chain vertex (sequential) that carries the
-    symbol.  ``steps`` is the measurement time for this machine's word
-    length, a non-negative int.
+    ``input_slots`` is a tuple mapping 0-based symbol positions, at least
+    one, to the ``(a-rail, b-rail)`` pair of input vertices (spatial) or
+    the chain vertex (sequential) that carries the symbol; every position
+    has the same form, and ``kind`` reports which.  ``steps`` is the
+    measurement time for this machine's word length, a non-negative int.
     ``member`` is the word of ``word_length`` that the machine accepts with
     certainty, or None when that length has none; construction checks that
-    it does, within 1e-12.  ``graph`` is ``coins.graph`` and ``word_length``
-    is ``len(input_slots)``, so neither can disagree with what it derives
-    from.  ``slot_indices`` is derived once from ``input_slots``: per
-    position, the flat state indices of its a-slot and b-slot, no index used
-    twice.  ``accepting`` and ``rejecting`` are frozensets of ``int``
-    vertex ids of the graph.
+    it does, within 1e-12.  ``graph`` is ``coins.graph``, ``word_length``
+    is ``len(input_slots)`` and ``kind`` follows the form of the slots, so
+    none can disagree with what it derives from.  ``slot_indices`` is
+    derived once from ``input_slots``: per position, the flat state indices
+    of its a-slot and b-slot, no index used twice.  ``accepting`` and
+    ``rejecting`` are frozensets, and every id in them and in
+    ``input_slots`` is an ``int`` vertex of the graph.
     """
 
     family: str
-    kind: str
     coins: CoinAssignment
     input_slots: tuple
     accepting: frozenset[int]
@@ -94,32 +94,34 @@ class Machine:
 
     graph = property(lambda self: self.coins.graph)
     word_length = property(lambda self: len(self.input_slots))
+    kind = property(
+        lambda self: "spatial" if isinstance(self.input_slots[0], tuple) else "sequential"
+    )
 
     def __post_init__(self):
-        if self.kind not in ("spatial", "sequential"):
-            raise ValueError(f"machine kind must be 'spatial' or 'sequential', got {self.kind!r}")
         _check_steps(self.steps)
         if not (isinstance(self.accepting, frozenset) and isinstance(self.rejecting, frozenset)):
             raise ValueError("accepting and rejecting must be frozensets of vertex ids")
+        if not (isinstance(self.input_slots, tuple) and self.input_slots):
+            raise ValueError("input_slots must be a tuple of at least one input position")
+        spatial = self.kind == "spatial"
+        # a chain vertex v is read as the pair (v, v), whose b-slot is port 1
+        pairs = self.input_slots if spatial else tuple(zip(self.input_slots, self.input_slots))
+        if not all(isinstance(p, tuple) and len(p) == 2 for p in pairs):
+            raise ValueError("input positions must be all (a-rail, b-rail) pairs or all ids")
+        inputs = [v for pair in pairs for v in pair]
         vertices = range(self.graph.num_vertices)
         ids = self.accepting | self.rejecting
-        stray = [v for v in ids if type(v) is not int or v not in vertices]
+        # checked on the list: a set would merge True into 1
+        stray = [v for v in (*ids, *inputs) if type(v) is not int or v not in vertices]
         if stray:
-            raise ValueError(f"accepting/rejecting id {stray[0]!r} is not a vertex of the graph")
+            raise ValueError(f"machine id {stray[0]!r} is not a vertex of the graph")
         if self.accepting & self.rejecting:
             raise ValueError("accepting and rejecting sets overlap")
-        if not self.input_slots:
-            raise ValueError("a machine needs at least one input position")
-        inputs = set()
-        for slot in self.input_slots:
-            inputs.update(slot if isinstance(slot, tuple) else (slot,))
-        if ids & inputs:
+        if not ids.isdisjoint(inputs):
             raise ValueError("accepting/rejecting sets contain input vertices")
         index = self.graph.state_index
-        if self.kind == "spatial":
-            table = tuple((index(a, 0), index(b, 0)) for a, b in self.input_slots)
-        else:
-            table = tuple((index(v, 0), index(v, 1)) for v in self.input_slots)
+        table = tuple((index(a, 0), index(b, 0 if spatial else 1)) for a, b in pairs)
         # the encoder adds each slot's amplitude onto zero, so no two may coincide
         flat = [i for pair in table for i in pair]
         if len(set(flat)) < len(flat):
@@ -138,8 +140,14 @@ class Machine:
 # spatial machines
 # ---------------------------------------------------------------------------
 
-def _build_spatial(family: str, pairs: int, surplus: bool) -> Machine:
-    """Shared spatial builder.
+def _check_size(n) -> None:
+    """Raise unless a builder's size ``n`` is an ``int`` of at least 1; a ``bool`` is not one."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"machine size must be an int >= 1, got {n!r}")
+
+
+def _build_spatial(family: str, n: int) -> Machine:
+    """The spatial machine of a family for words of length n.
 
     Layout: one Grover hub of degree 4 per symbol pair, connected to the
     pair's two populated rails and, through one pass-through wire vertex
@@ -151,7 +159,8 @@ def _build_spatial(family: str, pairs: int, surplus: bool) -> Machine:
     the vertex degree (degree 1 gives the 1x1 identity, degree 2 the
     swap).  A word of length n therefore scores, summed over the hubs,
     2/n for a hub with both rails populated, 1/(2n) for a hub with one,
-    and 0 otherwise; the surplus symbol of an odd n only dilutes this.
+    and 0 otherwise; the surplus symbol of an odd n, whose rails lead
+    only to a sink, just dilutes this.
 
     Edge order: per pair, a-rail hub edge, b-rail hub edge, the two
     hub wire edges; then every wire accepting-vertex edge in pair order;
@@ -163,9 +172,7 @@ def _build_spatial(family: str, pairs: int, surplus: bool) -> Machine:
     2n rails, m hubs, 2m wires, m sinks and the accepting vertex.  Odd n
     adds 2 rails and 1 sink for the surplus symbol.
     """
-    if pairs < 0 or (pairs == 0 and not surplus):
-        raise ValueError("spatial machines need at least one symbol pair")
-    n = 2 * pairs + (1 if surplus else 0)
+    pairs, surplus = divmod(n, 2)
 
     ids = itertools.count()
     rails = [(next(ids), next(ids)) for _ in range(n)]
@@ -179,10 +186,8 @@ def _build_spatial(family: str, pairs: int, surplus: bool) -> Machine:
 
     if family == "spatial-eq":
         pairing = [(j, pairs + j) for j in range(pairs)]
-    elif family == "spatial-ab":
-        pairing = [(2 * j, 2 * j + 1) for j in range(pairs)]
     else:
-        raise ValueError(f"unknown spatial family {family!r}")
+        pairing = [(2 * j, 2 * j + 1) for j in range(pairs)]
 
     edges = []
     for (a_pos, b_pos), hub, (w0, w1) in zip(pairing, hubs, wires):
@@ -198,7 +203,6 @@ def _build_spatial(family: str, pairs: int, surplus: bool) -> Machine:
 
     return Machine(
         family=family,
-        kind="spatial",
         coins=CoinAssignment.by_degree(graph, coinlib.grover),
         input_slots=tuple(rails),
         accepting=frozenset({accept}),
@@ -218,9 +222,8 @@ def spatial_eq(pairs: int) -> Machine:
     target of 4n + 3 vertices is undercut by 2: off-rail pairs share one
     sink vertex and no separate reject gadget is used.
     """
-    if pairs < 1:
-        raise ValueError("spatial_eq needs at least one symbol pair")
-    return _build_spatial("spatial-eq", pairs, surplus=False)
+    _check_size(pairs)
+    return _build_spatial("spatial-eq", 2 * pairs)
 
 
 def spatial_ab(pairs: int) -> Machine:
@@ -228,9 +231,8 @@ def spatial_ab(pairs: int) -> Machine:
 
     The j-th hub joins the rails of adjacent positions 2j - 1 and 2j.
     """
-    if pairs < 1:
-        raise ValueError("spatial_ab needs at least one symbol pair")
-    return _build_spatial("spatial-ab", pairs, surplus=False)
+    _check_size(pairs)
+    return _build_spatial("spatial-ab", 2 * pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +240,8 @@ def spatial_ab(pairs: int) -> Machine:
 # ---------------------------------------------------------------------------
 
 def _rotation(d: int) -> np.ndarray:
-    """Cyclic permutation coin: port i to port i + 1 (mod d)."""
+    """Cyclic permutation coin: port i to port i + 1 (mod d); the 1x1 identity for d = 1."""
     return coinlib.permutation([(i + 1) % d for i in range(d)])
-
-
-def _holding_vertex_coin(degree: int) -> np.ndarray:
-    return coinlib.identity(1) if degree == 1 else _rotation(degree)
 
 
 def _sequential_machine(
@@ -279,11 +277,10 @@ def _sequential_machine(
     graph = PortGraph(edges)
 
     stub = coinlib.identity(1)
-    holders = [_holding_vertex_coin(graph.degree(v)) for v in (accept, reject)]
+    holders = [_rotation(graph.degree(v)) for v in (accept, reject)]
     coin_set = CoinAssignment(graph, [*chain_coins, stub, stub, *middle_coins, *holders])
     return Machine(
         family=family,
-        kind="sequential",
         coins=coin_set,
         input_slots=tuple(range(n)),
         accepting=frozenset({accept}),
@@ -293,8 +290,8 @@ def _sequential_machine(
     )
 
 
-def _finish_sequential(family: str, n: int, delay: int, steps: int, hold: int) -> Machine:
-    """Chain, delay path and interference vertex of the ab and eq machines.
+def _finish_sequential(family: str, n: int) -> Machine:
+    """The seq-ab or seq-eq machine for words of length n.
 
     Every chain vertex has a swap-pair coin, so each step moves every
     symbol one vertex toward the gadget; position 1 sits next to it and
@@ -303,6 +300,9 @@ def _finish_sequential(family: str, n: int, delay: int, steps: int, hold: int) -
     directly, so the a part of symbol k meets the b part of symbol
     k + delay.  Their sum lands on the accepting holder, their difference
     on the rejecting holder.
+
+    Schedule: seq-ab has delay 1 and n holding self-loops, seq-eq delay
+    m = max(1, n // 2) and n + m; the walk runs n + delay + 1 steps.
 
     Middle vertices: the delay path, then the interference vertex.  Its
     edge order (after the chain): leave-a to the delay path, the delay
@@ -314,11 +314,14 @@ def _finish_sequential(family: str, n: int, delay: int, steps: int, hold: int) -
         mixer = middle[-1]
         return [*zip(path, path[1:]), (head, mixer), (mixer, accept), (mixer, reject)]
 
+    delay = 1 if family == "seq-ab" else max(1, n // 2)
+    hold = n if family == "seq-ab" else n + delay
     pass_through = coinlib.tensor(coinlib.pauli_x(), coinlib.identity(2))
     mixer_coin = coinlib.tensor(coinlib.pauli_x(), coinlib.hadamard())
     middle_coins = [coinlib.pauli_x()] * delay + [mixer_coin]
     return _sequential_machine(
-        family, [pass_through] * n, middle_coins, wire, hold, steps, member_word(family, n)
+        family, [pass_through] * n, middle_coins, wire, hold, n + delay + 1,
+        member_word(family, n),
     )
 
 
@@ -330,9 +333,8 @@ def sequential_ab(n: int) -> Machine:
     n + 1, so (ab)^2 is accepted at step five as well, but the last
     symbol's delayed a amplitude of other words is still in flight then.
     """
-    if n < 1:
-        raise ValueError("sequential_ab needs word length >= 1")
-    return _finish_sequential("seq-ab", n, delay=1, steps=n + 2, hold=n)
+    _check_size(n)
+    return _finish_sequential("seq-ab", n)
 
 
 def sequential_eq(pairs: int) -> Machine:
@@ -342,11 +344,10 @@ def sequential_eq(pairs: int) -> Machine:
     interferes with the b amplitude arriving m symbols later; the walk
     runs n + m + 1 steps.  A word scores 1/2 + (number of positions k with
     a at k and b at k + m) / n.  Other word lengths n keep the delay
-    m = max(1, n // 2): see :func:`machine_for_length`.
+    m = max(1, n // 2): see :func:`_finish_sequential`.
     """
-    if pairs < 1:
-        raise ValueError("sequential_eq needs at least one symbol pair")
-    return machine_for_length("seq-eq", 2 * pairs)
+    _check_size(pairs)
+    return _finish_sequential("seq-eq", 2 * pairs)
 
 
 def sequential_word(word: str) -> Machine:
@@ -408,23 +409,17 @@ def member_word(family: str, n: int) -> str | None:
 
 
 def machine_for_length(family: str, n: int) -> Machine:
-    """Build the family's machine for words of length n.
+    """Build the family's machine for words of length n >= 1.
 
-    Spatial machines for odd n get a surplus input pair wired only to a
-    sink, so the extra symbol's amplitude never reaches the accepting
-    vertex.  Sequential machines take any chain length directly; seq-eq
-    delays by m = max(1, n // 2) symbols.
+    :func:`_build_spatial` and :func:`_finish_sequential` set each length's
+    layout and schedule.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    if n < 1:
-        raise ValueError(f"word length must be >= 1, got {n}")
-    if family == "spatial-eq" or family == "spatial-ab":
-        return _build_spatial(family, n // 2, surplus=bool(n % 2))
-    if family == "seq-ab":
-        return sequential_ab(n)
-    m = max(1, n // 2)
-    return _finish_sequential("seq-eq", n, delay=m, steps=n + m + 1, hold=n + m)
+    _check_size(n)
+    if family.startswith("spatial"):
+        return _build_spatial(family, n)
+    return _finish_sequential(family, n)
 
 
 # ---------------------------------------------------------------------------
@@ -517,17 +512,11 @@ def export_machine(machine: Machine, directory: str | Path) -> dict[str, Path]:
     """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "graph": out / "graph.txt",
-        "coins": out / "coins.txt",
-        "machine": out / "machine.txt",
-    }
+    paths = {name: out / f"{name}.txt" for name in ("graph", "coins", "machine")}
     paths["graph"].write_text(machine.graph.to_edge_lines())
     paths["coins"].write_text(machine.coins.to_text())
-    if machine.kind == "spatial":
-        slots = " ".join(f"{a},{b}" for a, b in machine.input_slots)
-    else:
-        slots = " ".join(str(v) for v in machine.input_slots)
+    spatial = machine.kind == "spatial"
+    slots = " ".join(",".join(map(str, s)) if spatial else str(s) for s in machine.input_slots)
     header = (
         f"family {machine.family}\n"
         f"kind {machine.kind}\n"

@@ -247,7 +247,7 @@ def test_encode_rejects_bad_arguments():
 def test_encode_guards_the_norm_of_every_row():
     graph = PortGraph([(0, 2), (1, 2), (3, 2), (4, 2)])
     machine = Machine(
-        family="two-rails", kind="spatial",
+        family="two-rails",
         coins=CoinAssignment.by_degree(graph, grover), input_slots=((0, 1), (3, 4)),
         accepting=frozenset({2}), rejecting=frozenset(), steps=1,
     )

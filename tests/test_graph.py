@@ -86,6 +86,24 @@ def test_edges_must_be_pairs():
             PortGraph(edges)
 
 
+def test_vertex_ids_are_integers_in_edges_and_lookups():
+    # a bool, a float or a string is not a vertex id, even where it equals one
+    for edges in ([(True, 0)], [(0, 1.5)], [(0, "a")], [(0, 1), (1, np.True_)]):
+        with pytest.raises(ValueError, match=r"\(u, v\) pair of integer ids"):
+            PortGraph(edges)
+    g = PortGraph([(0, 1), (1, 1)])
+    for v in (True, False, 0.5, 1.0, "0", None):
+        for lookup in (g.degree, g.offset, lambda v: g.state_index(v, 0)):
+            with pytest.raises(ValueError, match="unknown vertex id"):
+                lookup(v)
+    # numpy integers are ids, in an edge and in a lookup
+    h = PortGraph([(np.int64(0), np.int32(1)), (np.uint8(1), 1)])
+    assert h == g and h.to_edge_lines() == "0 1\n1 1\n"
+    assert np.array_equal(h.shift_permutation(), g.shift_permutation())
+    assert g.degree(np.int64(1)) == 3 and g.offset(np.uint8(1)) == 1
+    assert g.state_index(np.int32(1), 2) == 3
+
+
 def test_shift_array_is_read_only():
     # a writeable shift let one write pair port 0 with itself, and the walk lose norm
     g = spatial_eq(1).graph

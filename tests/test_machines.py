@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import hashlib
 import inspect
 
 import numpy as np
@@ -310,14 +312,14 @@ def test_machine_rejects_input_positions_that_share_a_slot():
     graph = PortGraph([(0, 2), (1, 2)])
     with pytest.raises(ValueError, match="input positions share flat slot 0$"):
         Machine(
-            family="shared-rails", kind="spatial",
+            family="shared-rails",
             coins=CoinAssignment.by_degree(graph, grover), input_slots=((0, 1), (0, 1)),
             accepting=frozenset({2}), rejecting=frozenset(), steps=1,
         )
     # one rail serving as both the a-rail and the b-rail of a position
     with pytest.raises(ValueError, match="input positions share flat slot 1$"):
         Machine(
-            family="shared-rails", kind="spatial",
+            family="shared-rails",
             coins=CoinAssignment.by_degree(graph, grover), input_slots=((1, 1),),
             accepting=frozenset({2}), rejecting=frozenset(), steps=1,
         )
@@ -331,7 +333,6 @@ def test_machine_rejects_overlapping_sets():
     with pytest.raises(ValueError, match="overlap"):
         Machine(
             family="spatial-eq",
-            kind="spatial",
             coins=machine.coins,
             input_slots=machine.input_slots,
             accepting=frozenset({5}),
@@ -341,7 +342,6 @@ def test_machine_rejects_overlapping_sets():
     with pytest.raises(ValueError, match="input"):
         Machine(
             family="spatial-eq",
-            kind="spatial",
             coins=machine.coins,
             input_slots=machine.input_slots,
             accepting=frozenset(machine.input_slots[0][:1]),
@@ -366,8 +366,8 @@ def test_machine_graph_and_word_length_are_derived():
         machine.word_length = 3
 
 
+# spatial_eq(2) reads its four symbols from the rails (0, 1), (2, 3), (4, 5) and (6, 7)
 @pytest.mark.parametrize("change,message", [
-    ({"kind": "weird"}, "kind must be 'spatial' or 'sequential', got 'weird'"),
     ({"accepting": frozenset({999})}, "id 999 is not a vertex"),
     ({"rejecting": frozenset({-1})}, "id -1 is not a vertex"),
     ({"steps": -1}, "non-negative int, got -1"),
@@ -379,11 +379,58 @@ def test_machine_graph_and_word_length_are_derived():
     ({"accepting": frozenset({7.0})}, "id 7.0 is not a vertex"),
     ({"rejecting": frozenset({True}), "member": None}, "id True is not a vertex"),
     ({"input_slots": (), "member": None}, "at least one input position"),
-], ids=["kind", "accepting", "rejecting", "negative-steps", "bool-steps", "float-steps",
-        "plain-set", "list", "float-id", "float-id-with-member", "bool-id", "no-input"])
+    ({"input_slots": [(0, 1), (2, 3), (4, 5), (6, 7)]}, "must be a tuple"),
+    ({"input_slots": ((0, 1), 2, (4, 5), (6, 7))}, "all \\(a-rail, b-rail\\) pairs or all ids"),
+    ({"input_slots": (0, (2, 3), 4, 6)}, "id \\(2, 3\\) is not a vertex"),
+    ({"input_slots": ((0, 1), (2, 3), (4, 5), (6, 7, 8))}, "all \\(a-rail, b-rail\\) pairs"),
+    ({"input_slots": ((0, 1), (2, 3), (4, 5), (6, True))}, "id True is not a vertex"),
+    ({"input_slots": ((0, 1), (2, 3), (4, 5), (6, 7.0))}, "id 7.0 is not a vertex"),
+    ({"input_slots": ((0, 1), (2, 3), (4, 5), (6, np.int64(7)))},
+     "id np.int64\\(7\\) is not a vertex"),
+], ids=["accepting", "rejecting", "negative-steps", "bool-steps", "float-steps",
+        "plain-set", "list", "float-id", "float-id-with-member", "bool-id", "no-input",
+        "slot-list", "mixed-slots", "mixed-slots-chain-first", "three-rail-slot",
+        "bool-slot-id", "float-slot-id", "numpy-slot-id"])
 def test_machine_is_checked_whole_at_construction(change, message):
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(spatial_eq(2), **change)
+
+
+def test_machine_kind_is_derived_from_its_input_slots():
+    machines = [machine_for_length(family, 4) for family in FAMILIES] + [sequential_word("abb")]
+    kinds = ["spatial", "spatial", "sequential", "sequential", "sequential"]
+    assert [m.kind for m in machines] == kinds
+    for machine in machines:
+        pair = isinstance(machine.input_slots[0], tuple)
+        assert machine.kind == ("spatial" if pair else "sequential")
+        with pytest.raises(TypeError):
+            dataclasses.replace(machine, kind="sequential" if pair else "spatial")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            machine.kind = "spatial"
+    # the chain vertices 0 and 1 read as one rail pair make a spatial machine
+    machine = dataclasses.replace(sequential_ab(2), input_slots=((0, 1),), member=None)
+    assert machine.kind == "spatial" and machine.word_length == 1
+    assert machine.slot_indices == ((0, 4),)
+
+
+def test_machine_layouts_are_pinned():
+    digest = hashlib.sha256()
+    for family in FAMILIES:
+        for n in range(1, 17):
+            machine = machine_for_length(family, n)
+            digest.update((machine.graph.to_edge_lines() + machine.coins.to_text()).encode())
+    assert digest.hexdigest() == (
+        "b1ebff5f6d397d8412ddc6bd219337ec8818022e5f2b83651f50495aaed43e1e"
+    )
+
+
+@pytest.mark.parametrize("size", [0, -1, True, False, 1.5, 2.0, "2", None])
+def test_builders_take_an_int_size_of_at_least_one(size):
+    builders = [spatial_eq, spatial_ab, sequential_ab, sequential_eq]
+    builders += [functools.partial(machine_for_length, family) for family in FAMILIES]
+    for build in builders:
+        with pytest.raises(ValueError, match=f"size must be an int >= 1, got {size!r}"):
+            build(size)
 
 
 def test_coin_dimensions_match_degrees():
