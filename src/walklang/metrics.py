@@ -1,9 +1,9 @@
 """String similarity and state fidelity metrics.
 
-:func:`jaro` scores two words; :func:`fidelity` measures a batch of
-amplitude rows against one reference state, one ``vdot`` per row.  The
-Jaro score is a similarity: 1 means the words are equal, 0 that no
-character matches.
+:func:`jaro` scores a batch of equal-length words against one reference
+word; :func:`fidelity` measures a batch of amplitude rows against one
+reference state, one ``vdot`` per row.  The Jaro score is a similarity: 1
+means the words are equal, 0 that no character matches.
 """
 
 from __future__ import annotations
@@ -15,33 +15,43 @@ from .walk import WalkState
 __all__ = ["jaro", "fidelity"]
 
 
-def jaro(w1: str, w2: str) -> float:
-    """Jaro score of two non-empty strings.
+def jaro(words: str | list[str], reference: str) -> float | np.ndarray:
+    """Jaro score of each word against a non-empty reference string.
 
-    Characters match when they are the same symbol and their positions lie
-    within ``max(max(|w1|, |w2|) // 2 - 1, 0)`` of each other; each
-    character is consumed by at most one match, scanning left to right.
-    For very short strings the window is zero, which leaves only
-    same-position matches.
+    A ``str`` gives a ``float``; a list of non-empty words of one length, a
+    ``(B,)`` float64 array.  Characters match when they are the same code
+    point within ``max(max(n, L) // 2 - 1, 0)`` positions (n, L the word and
+    reference lengths), each reference character taken by at most one match,
+    scanning each word left to right.  Empty strings raise ``ValueError``,
+    and so do words of mixed lengths.
     """
-    if not w1 or not w2:
+    if isinstance(words, str):
+        return float(jaro([words], reference)[0])
+    lengths = set(map(len, words))
+    if len(lengths) > 1:
+        raise ValueError(f"jaro scores words of one length, got lengths {sorted(lengths)}")
+    (n,) = lengths or {1}
+    if n == 0 or not reference:
         raise ValueError("jaro is undefined for empty strings")
-    window = max(max(len(w1), len(w2)) // 2 - 1, 0)
-    free: list[str | None] = list(w2)  # a matched symbol of w2 becomes None
-    kept1 = []
-    for i, ch in enumerate(w1):
-        try:
-            j = free.index(ch, max(0, i - window), i + window + 1)
-        except ValueError:
-            continue
-        free[j] = None
-        kept1.append(ch)
-    s = len(kept1)
-    if s == 0:
-        return 0.0
-    kept2 = [ch for ch, f in zip(w2, free) if f is None]
-    t = sum(a != b for a, b in zip(kept1, kept2)) / 2.0
-    return (s / len(w1) + s / len(w2) + (s - t) / s) / 3.0
+    rows, size = len(words), len(reference)
+    codes = np.frombuffer("".join(words).encode("utf-32-le"), dtype="<u4").reshape(rows, n)
+    ref = np.frombuffer(reference.encode("utf-32-le"), dtype="<u4")
+    near = np.abs(np.arange(n)[:, None] - np.arange(size)) <= max(max(n, size) // 2 - 1, 0)
+    same = (codes[:, :, None] == ref) & near  # (rows, n, size): may word i match reference j
+    free = np.ones((rows, size), dtype=bool)  # reference characters not yet matched
+    hit = np.zeros((rows, n), dtype=bool)  # word characters matched
+    every = np.arange(rows)
+    for i in range(n):
+        candidates = free & same[:, i]
+        j = candidates.argmax(axis=1)  # the first free match, or 0 when there is none
+        hit[:, i] = found = candidates[every, j]
+        free[every, j] &= ~found
+    # boolean indexing lists the k-th matches of word and reference side by side
+    swapped = codes[hit] != np.broadcast_to(ref, free.shape)[~free]
+    t = np.bincount(np.nonzero(hit)[0], weights=swapped, minlength=rows) / 2.0
+    s = hit.sum(axis=1, dtype=np.float64)
+    # a row without matches has s = t = 0 and scores 0.0; dividing it by 1 keeps it finite
+    return (s / n + s / size + (s - t) / np.maximum(s, 1.0)) / 3.0
 
 
 def fidelity(reference: WalkState, amplitudes: np.ndarray) -> np.ndarray:

@@ -228,11 +228,13 @@ def test_criterion_8_engine_correctness():
 def test_criterion_9_jaro_oracle():
     assert jaro("aabb", "abab") == pytest.approx(11 / 12, abs=1e-12)
     pairs = 0
-    lengths = [w for n in range(1, 9) for w in all_words(n)]
-    for w1 in lengths:
-        for w2 in lengths:
-            assert jaro(w1, w2) == brute_force_jaro(w1, w2)
-            pairs += 1
+    groups = [all_words(n) for n in range(1, 9)]
+    for w2 in (w for group in groups for w in group):
+        for group in groups:
+            got = jaro(group, w2).tolist()
+            assert got == [brute_force_jaro(w1, w2) for w1 in group]
+            pairs += len(got)
+    assert pairs == 510 ** 2
     note(9, f"jaro agrees with the brute-force matcher on all {pairs} pairs to length 8")
 
 

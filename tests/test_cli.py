@@ -16,7 +16,7 @@ from walklang import (
     word_acceptance,
 )
 from walklang import cli
-from walklang.cli import _clamp, main, run_verify
+from walklang.cli import _clamp, _fmt_each, main, run_verify
 from walklang.walk import state_to_text
 
 from helpers import hadamard_line_coins, line_graph
@@ -364,3 +364,9 @@ def test_clamp_rejects_nan_and_clips_the_rest():
     clipped = _clamp(np.array([-1e-17, 0.25, 1 + 2e-16]))
     assert clipped.tolist() == [0.0, 0.25, 1.0]
     assert _clamp(1 + 2e-16) == 1.0
+
+
+def test_fmt_each_formats_by_bits():
+    assert _fmt_each(np.array([0.0, -0.0, 0.1, 0.0])) == ["0", "-0", "0.1", "0"]
+    assert _fmt_each(np.array([1 / 3, 0.5, 1 / 3])) == [cli._fmt(1 / 3), "0.5", cli._fmt(1 / 3)]
+    assert _fmt_each(np.empty(0)) == []

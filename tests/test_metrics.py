@@ -13,7 +13,7 @@ from walklang import (
     step,
 )
 from walklang import coins
-from walklang.machines import CHUNK, final_amplitudes
+from walklang.machines import CHUNK, FAMILIES, final_amplitudes, member_word
 from walklang.walk import evolve_batch
 
 from helpers import all_words, hadamard_line_coins, line_graph, reference_fidelity
@@ -67,8 +67,15 @@ def test_jaro_short_string_window_degenerates():
 
 
 def test_jaro_rejects_empty():
-    with pytest.raises(ValueError):
-        jaro("", "ab")
+    for words, reference in [("", "ab"), ([""], "ab"), ("ab", ""), (["ab"], "")]:
+        with pytest.raises(ValueError, match="empty"):
+            jaro(words, reference)
+
+
+def test_jaro_rejects_words_of_mixed_lengths():
+    for words in (["ab", "a"], ["a", "ab"], ["ab", "", "ab"]):
+        with pytest.raises(ValueError, match="one length"):
+            jaro(words, "ab")
 
 
 @given(words, words)
@@ -89,11 +96,37 @@ def test_jaro_matches_brute_force(w1, w2):
 
 
 def test_jaro_brute_force_exhaustive_short():
+    pairs = 0
     for n1 in range(1, 5):
         for n2 in range(1, 5):
-            for w1 in all_words(n1):
-                for w2 in all_words(n2):
-                    assert jaro(w1, w2) == brute_force_jaro(w1, w2)
+            for w2 in all_words(n2):
+                got = jaro(all_words(n1), w2).tolist()
+                assert got == [brute_force_jaro(w1, w2) for w1 in all_words(n1)]
+                pairs += len(got)
+    assert pairs == 30 ** 2
+
+
+def bits(scores):
+    return np.asarray(scores, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_jaro_batch_matches_each_row_for_every_sweep_reference(n):
+    # as in sweep, odd n compare against the member one symbol shorter; families
+    # that share a member word share one check; from n = 7 the rows pass row CHUNK
+    words = all_words(n)
+    for reference in sorted({member_word(f, n - n % 2) for f in FAMILIES}):
+        batch = jaro(words, reference)
+        assert batch.dtype == np.float64 and batch.shape == (len(words),)
+        one_row = [jaro(w, reference) for w in words]
+        assert all(type(score) is float for score in one_row)
+        assert np.array_equal(bits(batch), bits(one_row))
+        assert np.array_equal(bits(batch), bits([brute_force_jaro(w, reference) for w in words]))
+
+
+def test_jaro_scores_any_code_points():
+    assert jaro("MARTHA", "MARHTA") == (1 + 1 + 5 / 6) / 3
+    assert jaro(["MARTHA", "MARHTA"], "MARTHA").tolist() == [1.0, (1 + 1 + 5 / 6) / 3]
 
 
 def two_port_state(x, y):
