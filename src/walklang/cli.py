@@ -116,14 +116,16 @@ def _qinput_lines(base: str, family: str, eta_points: int) -> Iterator[str]:
     first = np.broadcast_to(encoding.symbols(machine, [base]), (len(others) * eta_points, n))
     second = np.repeat(encoding.symbols(machine, others), eta_points, axis=0)
     finals = machines.final_amplitudes(machine, first, second, np.tile(etas, len(others)))
-    fidelities = (f for final in finals for f in metrics.fidelity(reference, final).tolist())
+    # the grid repeats few values, and a chunk's are almost all distinct
+    fidelities = iter(_fmt_each(np.concatenate(
+        [metrics.fidelity(reference, final) for final in finals])))
     yield f"# eta-grid=amplitude-linear points={eta_points}\n"
     yield "w2,eta,fidelity,match_count\n"
     for w2 in others:
         match_count = sum(1 for x, y in zip(base, w2) if x == y)
         # zip stops at the end of eta_text without taking the next w2's first fidelity
         for eta, f in zip(eta_text, fidelities):
-            yield f"{w2},{eta},{_fmt(f)},{match_count}\n"
+            yield f"{w2},{eta},{f},{match_count}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ they agree the slot is loaded classically, where they differ the first
 word's slot gets ``alpha * eta`` and the second word's slot gets
 ``alpha * sqrt(1 - |eta|^2)``.
 
-:func:`encode` loads a whole batch at once, from ``(B, n)`` symbol
-matrices (0 for ``a``, 1 for ``b``) and a ``(B,)`` eta vector;
-:func:`initial_state` and :func:`quantum_initial_state` are its one-row
-calls.
+:func:`encode_chunks` loads a whole grid a chunk at a time, from
+``(B, n)`` symbol matrices (0 for ``a``, 1 for ``b``) and a ``(B,)`` eta
+vector, checking the grid once; :func:`encode` is its one-chunk call, and
+:func:`initial_state` and :func:`quantum_initial_state` are one-row calls.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "initial_state",
     "quantum_initial_state",
     "encode",
+    "encode_chunks",
 ]
 
 ALPHABET = "ab"
@@ -139,13 +140,21 @@ def symbols(machine, words: Sequence[str]) -> np.ndarray:
 
 
 def encode(machine, first: np.ndarray, second: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """The one input encoder: ``(B, P)`` amplitudes from ``(B, n)`` symbol matrices.
+    """The one input encoder: :func:`encode_chunks` of every row in one chunk."""
+    return next(encode_chunks(machine, first, second, eta, max(len(first), 1)))
+
+
+def encode_chunks(machine, first, second, eta, size: int) -> Iterator[np.ndarray]:
+    """``(rows, P)`` amplitudes from ``(B, n)`` symbol matrices, ``size`` rows at a time.
 
     Row b superposes the words ``first[b]`` and ``second[b]`` with weight
     ``eta[b]``, through the machine's a-slot/b-slot table.  A position where
     they agree gets ``alpha = 1/sqrt(n)`` on its slot; where they differ,
     the first word's slot gets ``alpha * eta`` and the second word's slot
-    ``alpha * sqrt(1 - |eta|^2)``, each added onto zero.
+    ``alpha * sqrt(1 - |eta|^2)``, each added onto zero.  The whole grid is
+    checked before the first chunk, and the weights computed once per
+    distinct eta; a chunk only scatters them and guards its rows' norms.
+    No rows make one empty chunk.
     """
     first, second = np.asarray(first), np.asarray(second)
     eta = np.asarray(eta, dtype=np.complex128)
@@ -162,24 +171,23 @@ def encode(machine, first: np.ndarray, second: np.ndarray, eta: np.ndarray) -> n
         raise ValueError(f"|eta| must be <= 1, got {abs(complex(eta[bad[0]]))}")
 
     alpha = 1.0 / math.sqrt(machine.word_length)
+    # per distinct eta, the first and the second word's weight where they differ;
+    # Python's abs and ** round some values differently from numpy's
+    values, which = np.unique(eta, return_inverse=True)
+    weight1 = alpha * values
+    weight2 = np.array([alpha * math.sqrt(max(0.0, 1.0 - abs(e) ** 2)) for e in values.tolist()])
     slots = np.asarray(machine.slot_indices)
-    cols = np.arange(machine.word_length)
-    i1, i2 = slots[cols, first], slots[cols, second]
-    row = np.broadcast_to(np.arange(rows)[:, None], first.shape)
-    same = first == second
-    amps = np.zeros((rows, machine.graph.num_ports), dtype=np.complex128)
-    amps[row[same], i1[same]] = alpha
-    differ = ~same
-    if differ.any():
-        a1 = np.zeros(rows, dtype=np.complex128)
-        a1.real, a1.imag = alpha * eta.real, alpha * eta.imag
-        # Python's abs and **: numpy's abs and square round some values differently
-        a2 = np.array([alpha * math.sqrt(max(0.0, 1.0 - abs(e) ** 2)) for e in eta.tolist()])
-        r = row[differ]
-        amps[r, i1[differ]] += a1[r]
-        amps[r, i2[differ]] += a2[r]
-    norms = np.linalg.norm(amps, axis=1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_GUARD))
-    if bad.size:
-        _check_norm(amps[bad[0]])
-    return amps
+    cols, row = np.arange(machine.word_length), np.arange(size)[:, None]
+    for lo in range(0, max(rows, 1), size):
+        w1, w2, k = first[lo:lo + size], second[lo:lo + size], which[lo:lo + size, None]
+        same, r = w1 == w2, row[:len(k)]
+        amps = np.zeros((len(k), machine.graph.num_ports), dtype=np.complex128)
+        # every slot is written once, onto zero; where the words agree the
+        # second word's slot is the first's and gets 0 added
+        amps[r, slots[cols, w1]] += np.where(same, alpha, weight1[k])
+        amps[r, slots[cols, w2]] += np.where(same, 0.0, weight2[k])
+        norms = np.linalg.norm(amps, axis=1)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_GUARD))
+        if bad.size:
+            _check_norm(amps[bad[0]])
+        yield amps

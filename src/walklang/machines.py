@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -38,7 +39,7 @@ import numpy as np
 from . import coins as coinlib
 from . import encoding
 from .graph import PortGraph
-from .walk import CoinAssignment, _check_steps, evolve, evolve_batch, vertex_masses
+from .walk import CoinAssignment, Program, _check_steps, evolve, vertex_masses
 from .walk import vertex_probability
 
 __all__ = [
@@ -134,6 +135,18 @@ class Machine:
                 raise ValueError(
                     f"member word {self.member!r} is accepted with probability {p}, not 1"
                 )
+
+    @cached_property
+    def _accepting_walk(self) -> Program:
+        """The schedule compiled, once, from the input slots to the accepting ports."""
+        graph = self.graph
+        ports = [graph.offset(v) + c for v in self.accepting for c in range(graph.degree(v))]
+        return Program(self.coins, self.steps, np.ravel(self.slot_indices), ports)
+
+    @cached_property
+    def _final_walk(self) -> Program:
+        every = np.arange(self.graph.num_ports)
+        return Program(self.coins, self.steps, np.ravel(self.slot_indices), every)
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +451,13 @@ CHUNK = 64
 
 
 def final_amplitudes(machine: Machine, first, second, eta) -> Iterator[np.ndarray]:
-    """Encode and evolve the rows of :func:`encoding.encode`, ``CHUNK`` at a time.
+    """Encode and evolve the rows of :func:`encoding.encode_chunks`, ``CHUNK`` at a time.
 
-    Yields the final ``(rows, P)`` amplitudes of each chunk in order.
+    The grid is checked whole before the first chunk.  Yields the final
+    ``(rows, P)`` C-contiguous amplitudes of each chunk in order.
     """
-    for lo in range(0, len(first), CHUNK):
-        hi = lo + CHUNK
-        amps = encoding.encode(machine, first[lo:hi], second[lo:hi], eta[lo:hi])
-        yield evolve_batch(amps, machine.coins, machine.steps)
+    for amps in encoding.encode_chunks(machine, first, second, eta, CHUNK):
+        yield machine._final_walk(amps)
 
 
 def acceptances(machine: Machine, words: Sequence[str]) -> np.ndarray:
@@ -455,11 +467,13 @@ def acceptances(machine: Machine, words: Sequence[str]) -> np.ndarray:
     from 0 in ``accepting`` order, as :func:`word_acceptance` does.
     """
     rows = encoding.symbols(machine, words)
+    bounds = np.cumsum([0, *(machine.graph.degree(v) for v in machine.accepting)])
     out = np.empty(len(rows))
     lo = 0
-    for final in final_amplitudes(machine, rows, rows, np.ones(len(rows))):
+    for amps in encoding.encode_chunks(machine, rows, rows, np.ones(len(rows)), CHUNK):
+        final = machine._accepting_walk(amps)
         hi = lo + len(final)
-        out[lo:hi] = sum(vertex_masses(machine.graph, final, v) for v in machine.accepting)
+        out[lo:hi] = sum(vertex_masses(final[:, a:b]) for a, b in itertools.pairwise(bounds))
         lo = hi
     return out
 

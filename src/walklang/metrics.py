@@ -2,7 +2,7 @@
 
 :func:`jaro` scores a batch of equal-length words against one reference
 word; :func:`fidelity` measures a batch of amplitude rows against one
-reference state, one ``vdot`` per row.  The Jaro score is a similarity: 1
+reference state, in one ``np.vecdot`` call.  The Jaro score is a similarity: 1
 means the words are equal, 0 that no character matches.
 """
 
@@ -57,22 +57,23 @@ def jaro(words: str | list[str], reference: str) -> float | np.ndarray:
 def fidelity(reference: WalkState, amplitudes: np.ndarray) -> np.ndarray:
     """``|<reference|row>|^2`` for every row of a ``(B, P)`` amplitude array.
 
-    Each row is copied to contiguous memory first (``vdot`` rounds a strided
-    row differently, and :func:`~walklang.walk.evolve_batch` leaves its rows
-    strided), and its overlap is squared as a Python float, as numpy's square
-    rounds some doubles differently.  Rounding can put a square a hair above
-    1, so it is capped at 1; a NaN, infinite or overflowing overlap, from a
-    row that holds one, raises ``ValueError``.  The rows are not checked
-    for norm.
+    One ``np.vecdot`` over the rows copied to C-contiguous memory, where it
+    rounds as a per-row ``np.vdot`` (both BLAS ``zdotc``) and a strided row
+    may not; each overlap is squared as a Python float, as numpy's square
+    rounds some doubles differently.
+    Rounding can put a square a hair above 1, so it is capped at 1; a NaN,
+    infinite or overflowing overlap, from a row that holds one, raises
+    ``ValueError``.  The rows are not checked for norm.
     """
-    rows = np.asarray(amplitudes, dtype=np.complex128)
+    rows = np.ascontiguousarray(amplitudes, dtype=np.complex128)
     ports = reference.graph.num_ports
     if rows.ndim != 2 or rows.shape[1] != ports:
         raise ValueError(f"amplitudes have shape {rows.shape}, reference has {ports} ports")
-    ref = reference.amplitudes
+    # a non-finite overlap is reported below, not warned about
+    with np.errstate(invalid="ignore", over="ignore"):
+        overlaps = np.vecdot(reference.amplitudes, rows).tolist()
     try:
-        out = np.array([abs(complex(np.vdot(ref, row))) ** 2
-                        for row in np.ascontiguousarray(rows)], dtype=np.float64)
+        out = np.array([abs(z) ** 2 for z in overlaps], dtype=np.float64)
     except OverflowError:
         raise ValueError("fidelity overflows: a row holds a huge amplitude") from None
     bad = np.flatnonzero(~np.isfinite(out))

@@ -7,6 +7,11 @@ blocks and then the shift permutation; ``T`` steps of a walk starting
 from ``psi`` are ``evolve(psi, coins, T)``, the one-row case of
 ``evolve_batch``, which steps a ``(B, P)`` array of amplitude rows at once.
 
+Every walk runs as a :class:`Program`, its steps compiled once into
+gemvs on registers: permutation moves become renames, and only mixing
+vertices inside the light cone from the input to the measured ports are
+multiplied.  ``evolve_batch`` inputs and measures every port.
+
 Everything here is pure: state amplitudes and coin blocks are arrays over
 immutable buffers and each operation returns a new state, so walks over a
 shared graph can run concurrently.
@@ -27,6 +32,7 @@ __all__ = [
     "step",
     "evolve",
     "evolve_batch",
+    "Program",
     "vertex_probability",
     "vertex_masses",
     "all_vertex_probabilities",
@@ -81,10 +87,11 @@ class CoinAssignment:
     are stored once, as one read-only ``(k, d, d)`` stack per degree class
     of the graph, and ``matrices[v]`` is a view into its stack.  A block
     whose d nonzero entries are all exactly 1 is a permutation, so coin and
-    shift only move its ports' amplitudes: ``route`` gives, for every port,
-    the port it reads from in one step.  Each stack holds its mixing blocks
-    first; :func:`evolve` multiplies only those, through the flat indices
-    ``idx`` of their ports and ``dst``, where the shift sends each of them.
+    shift only move its ports' amplitudes: the permutation ``route`` gives,
+    for every port, the port it reads from in one step (through the shift
+    alone at a mixing vertex).  Each stack holds its mixing blocks first; a
+    :class:`Program` multiplies only those, through the flat indices ``idx``
+    of their ports and ``dst``, where the shift sends each of them.
     """
 
     __slots__ = ("_graph", "_matrices", "_route", "_kernel")
@@ -109,7 +116,8 @@ class CoinAssignment:
             # a unitary block whose only nonzero entries are d ones is a permutation
             routed[v] = np.count_nonzero(block) == d == np.count_nonzero(block == 1)
             blocks.append(np.ascontiguousarray(block))
-        route = np.arange(graph.num_ports)
+        # the shift is self-inverse, so a mixing vertex's ports read through it alone
+        route = np.array(graph.shift_permutation())
         views, kernel = {}, []
         for vs, idx in graph.degree_classes():
             order = np.argsort(routed[vs], kind="stable")
@@ -192,40 +200,93 @@ def evolve(state: WalkState, coins: CoinAssignment, steps: int) -> WalkState:
 def evolve_batch(amplitudes: np.ndarray, coins: CoinAssignment, steps: int) -> np.ndarray:
     """Apply ``steps`` full SC steps to every row of a ``(B, P)`` amplitude array.
 
-    Each step gathers every port of every row along the route, then
-    multiplies the mixing ports of each degree class by its coin stack and
-    scatters the products straight to their shifted positions.  That is
-    still one gemv per vertex per row, so a row evolves bit for bit as it
-    would alone.  The rows of the result are not contiguous in general.
+    The :class:`Program` that inputs and measures every port, so every
+    mixing vertex is multiplied at every step and each row evolves bit for
+    bit as it would alone.  The result is a new C-contiguous array.
     """
-    _check_steps(steps)
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.ndim != 2 or amps.shape[1] != coins.graph.num_ports:
-        raise ValueError(
-            f"amplitudes have shape {amps.shape}, graph has {coins.graph.num_ports} ports"
-        )
-    for _ in range(steps):
-        out = amps[:, coins._route]
-        for idx, dst, stack in coins._kernel:
-            out[:, dst] = (stack @ amps[:, idx][..., None])[..., 0]
-        amps = out
-    return amps
+    every = np.arange(coins.graph.num_ports)
+    return Program(coins, steps, every, every)(amplitudes)
+
+
+class Program:
+    """``steps`` SC steps compiled into gemvs over the walk's light cone.
+
+    Called on ``(B, P)`` rows, it reads their ports ``inputs``, takes every
+    other port as zero, and returns the C-contiguous amplitudes of the ports
+    ``measured``, in that order.  Each port's amplitude lives in a register,
+    one column of a ``(B, P)`` workspace; a permutation move renames them
+    here, once.  A mixing vertex is one ``(d, d) @ (d,)`` gemv per row,
+    written back into its d registers, at each step where the inputs have
+    reached one of its ports (forward cone) and its outputs reach a measured
+    port (backward cone); a step's gemvs of one degree share a ``matmul``.
+    A port outside the forward cone holds ``+0.0`` where a step-by-step walk
+    may hold ``-0.0``, which ``np.array_equal`` treats as equal.
+    """
+
+    __slots__ = ("_ports", "_inputs", "_events", "_outputs")
+
+    def __init__(self, coins: CoinAssignment, steps: int, inputs, measured):
+        _check_steps(steps)
+        route, kernel, ports = coins._route, coins._kernel, coins.graph.num_ports
+        # needs[k]: the ports whose amplitude k steps before the end reaches a
+        # measured port; once that is every port, it is at every earlier time
+        need = np.zeros(ports, dtype=bool)
+        need[measured] = True
+        needs = [need]
+        while len(needs) <= steps and not need.all():
+            need = np.empty(ports, dtype=bool)
+            need[route] = needs[-1]
+            for idx, dst, _ in kernel:
+                need[idx] = needs[-1][dst].any(axis=1, keepdims=True)
+            needs.append(need)
+        everywhere = need if need.all() else None
+        reg, reach, events = np.arange(ports), np.zeros(ports, dtype=bool), []
+        reach[inputs] = True
+        for t in range(steps):
+            after = needs[min(steps - t - 1, len(needs) - 1)]
+            if after is everywhere and reach.all():  # and so at every later step
+                for _ in range(t, steps):
+                    events += [(reg[idx], stack) for idx, _, stack in kernel]
+                    reg = reg[route]
+                break
+            for idx, dst, stack in kernel:
+                keep = (reach[idx].any(axis=1) & after[dst].any(axis=1)).nonzero()[0]
+                if len(keep):
+                    # a run of blocks is a view: a coin alone in its class is never copied
+                    run = len(keep) == keep[-1] + 1 - keep[0]
+                    events.append((reg[idx[keep]], stack[keep[0]:keep[-1] + 1] if run
+                                   else stack[keep]))
+                    reach[idx[keep]] = True
+            reg, reach = reg[route], reach[route]
+        self._ports, self._inputs = ports, np.asarray(inputs)
+        self._events, self._outputs = tuple(events), reg[measured]
+
+    def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
+        amps = np.asarray(amplitudes, dtype=np.complex128)
+        if amps.ndim != 2 or amps.shape[1] != self._ports:
+            raise ValueError(f"amplitudes have shape {amps.shape}, graph has {self._ports} ports")
+        work = np.zeros(amps.shape, dtype=np.complex128)
+        work[:, self._inputs] = amps[:, self._inputs]
+        for regs, blocks in self._events:
+            work[:, regs] = (blocks @ work[:, regs][..., None])[..., 0]
+        return np.take(work, self._outputs, axis=1)
 
 
 def vertex_probability(state: WalkState, v: int) -> float:
     """Probability of finding the walker at ``v``: sum of |amplitude|^2 over its ports."""
-    return float(vertex_masses(state.graph, state.amplitudes[None], v)[0])
+    lo = state.graph.offset(v)
+    return float(vertex_masses(state.amplitudes[None, lo:lo + state.graph.degree(v)])[0])
 
 
-def vertex_masses(graph: PortGraph, amplitudes: np.ndarray, v: int) -> np.ndarray:
-    """:func:`vertex_probability` of ``v`` for every row of a ``(B, P)`` amplitude array.
+def vertex_masses(block: np.ndarray) -> np.ndarray:
+    """``|row|^2`` for every row of a ``(B, d)`` block of one vertex's port amplitudes.
 
-    The block is copied to contiguous rows first: ``vdot`` rounds a strided
-    row differently, and :func:`evolve_batch` leaves its rows strided.
+    One ``np.vecdot`` over the rows, copied to C-contiguous memory first:
+    on contiguous rows it rounds as a per-row ``np.vdot`` does (both are
+    BLAS ``zdotc``), on strided rows it does not.
     """
-    lo = graph.offset(v)
-    block = np.ascontiguousarray(amplitudes[:, lo:lo + graph.degree(v)])
-    return np.array([np.vdot(row, row).real for row in block], dtype=np.float64)
+    rows = np.ascontiguousarray(block)
+    return np.vecdot(rows, rows).real
 
 
 def all_vertex_probabilities(state: WalkState) -> np.ndarray:

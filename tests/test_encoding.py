@@ -16,7 +16,7 @@ from walklang import (
 )
 from walklang import PortGraph
 from walklang.coins import grover
-from walklang.encoding import check_word, encode, symbols, words_of_length
+from walklang.encoding import check_word, encode, encode_chunks, symbols, words_of_length
 from walklang.machines import FAMILIES, Machine, acceptances
 from walklang.walk import CoinAssignment
 
@@ -261,3 +261,35 @@ def test_encode_guards_the_norm_of_every_row():
         encode(machine, rows, rows, np.ones(2))
     with pytest.raises(ValueError, match=r"not normalised \(norm 0\.7071067811865475\)"):
         initial_state(machine, "aa")
+
+
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.tuples(st.text("ab", min_size=n, max_size=n),
+                  st.text("ab", min_size=n, max_size=n), etas),
+        min_size=1, max_size=30)),
+    st.integers(1, 31),
+)
+@settings(max_examples=100, deadline=None)
+def test_encode_chunks_are_encode_cut_into_rows(family, rows, size):
+    w1s, w2s, eta = zip(*rows)
+    machine = machine_for_length(family, len(w1s[0]))
+    # the same eta given twice, once with a negative zero, makes one distinct value
+    eta = np.array([*eta, complex(-0.0, eta[0].imag)], dtype=np.complex128)
+    first, second = symbols(machine, [*w1s, w1s[0]]), symbols(machine, [*w2s, w2s[0]])
+    whole = encode(machine, first, second, eta)
+    chunks = list(encode_chunks(machine, first, second, eta, size))
+    assert [len(c) for c in chunks] == [len(c) for c in np.array_split(
+        whole, range(size, len(whole), size))]
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    for k, (w1, w2, e) in enumerate(zip(w1s, w2s, eta)):
+        assert whole[k].tobytes() == reference_load(machine, w1, w2, e).tobytes()
+
+
+def test_encode_of_no_rows_is_empty():
+    machine = spatial_eq(2)
+    rows = symbols(machine, [])
+    assert encode(machine, rows, rows, np.ones(0)).shape == (0, machine.graph.num_ports)
+    [chunk] = encode_chunks(machine, rows, rows, np.ones(0), 64)
+    assert chunk.shape == (0, machine.graph.num_ports)

@@ -628,6 +628,20 @@ def test_acceptances_match_word_acceptance_bit_for_bit(family):
     assert acceptances(machine, []).shape == (0,)
 
 
+def test_acceptances_sum_several_accepting_vertices_as_word_acceptance_does():
+    for family in ("spatial-eq", "seq-ab"):
+        base = machine_for_length(family, 6)
+        inputs = set(np.ravel(base.input_slots).tolist())
+        free = [v for v in base.graph.vertices if v not in inputs | base.rejecting]
+        # every other free vertex: blocks of several degrees, not side by side
+        machine = dataclasses.replace(base, accepting=frozenset(free[::2]), member=None)
+        words = all_words(6)
+        got = acceptances(machine, words)
+        expected = np.array([word_acceptance(machine, w) for w in words])
+        assert len(machine.accepting) >= 3
+        assert got.tobytes() == expected.tobytes(), family
+
+
 def test_member_word_is_checked_at_construction():
     machine = spatial_eq(2)
     with pytest.raises(ValueError, match=r"'abab' is accepted with probability 0\.25"):
@@ -636,3 +650,55 @@ def test_member_word_is_checked_at_construction():
         dataclasses.replace(machine, member="aab")
     assert dataclasses.replace(machine, member=None).member is None
     assert dataclasses.replace(machine, member="aabb").member == "aabb"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_programs_match_reference_loop_on_their_measured_ports(family):
+    rng = np.random.default_rng(10 + sorted(FAMILIES).index(family))
+    for n in range(1, 11):
+        machine = machine_for_length(family, n)
+        words = all_words(n)
+        w1s = [words[i] for i in rng.integers(len(words), size=130)]
+        w2s = [words[i] for i in rng.integers(len(words), size=130)]
+        etas = np.exp(2j * np.pi * rng.random(130)) * rng.random(130)
+        expected = np.array(reference_rows(machine, w1s, w2s, etas))
+        graph = machine.graph
+        accepting = [graph.state_index(v, c)
+                     for v in machine.accepting for c in range(graph.degree(v))]
+        amps = encode(machine, symbols(machine, w1s), symbols(machine, w2s), etas)
+        # one row, both sides of one chunk, and two chunks' worth
+        for rows in (1, 63, 64, 65, 130):
+            final = machine._final_walk(amps[:rows])
+            accepted = machine._accepting_walk(amps[:rows])
+            assert final.flags.c_contiguous and accepted.flags.c_contiguous
+            # equal values: a port the input never reaches may differ in the sign of 0
+            assert np.array_equal(final, expected[:rows]), (n, rows)
+            assert np.array_equal(accepted, expected[:rows, accepting]), (n, rows)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_final_amplitudes_match_evolve_per_word_bit_for_bit(family):
+    for n in range(1, 9):
+        machine = machine_for_length(family, n)
+        words = all_words(n)
+        rows = symbols(machine, words)
+        chunks = list(final_amplitudes(machine, rows, rows, np.ones(len(words))))
+        assert [len(c) for c in chunks[:-1]] == [CHUNK] * (len(chunks) - 1)
+        for word, got in zip(words, np.concatenate(chunks)):
+            state = evolve(initial_state(machine, word), machine.coins, machine.steps)
+            assert got.tobytes() == state.amplitudes.tobytes(), (n, word)
+
+
+def test_final_amplitudes_check_the_grid_whole():
+    machine = spatial_eq(3)
+    rows = symbols(machine, all_words(6))
+    with pytest.raises(ValueError, match=r"eta has shape \(100,\), wanted \(64,\)"):
+        next(final_amplitudes(machine, rows, rows, np.ones(100)))
+    twice = np.concatenate([rows, rows])
+    with pytest.raises(ValueError, match=r"shapes \(64, 6\) and \(128, 6\)"):
+        next(final_amplitudes(machine, rows, twice, np.ones(64)))
+    # a bad eta past the first chunk fails before any chunk is evolved
+    eta = np.ones(len(twice))
+    eta[100] = 2.0
+    with pytest.raises(ValueError, match=r"\|eta\| must be <= 1, got 2\.0"):
+        next(final_amplitudes(machine, twice, twice, eta))

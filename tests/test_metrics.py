@@ -213,6 +213,9 @@ def test_fidelity_matches_the_per_row_oracle_on_batch_rows():
     eta = np.tile(np.linspace(0.0, 1.0, 11), len(others))
     amps = encoding.encode(machine, first, second, eta)
     final = evolve_batch(amps, machine.coins, machine.steps)
+    assert final.flags.c_contiguous
+    # the same rows, strided
+    final = np.asfortranarray(final)
     assert final.flags.f_contiguous and not final.flags.c_contiguous
     expected = reference_fidelity(reference, final)
     assert np.array_equal(fidelity(reference, final), expected)
@@ -231,3 +234,19 @@ def test_fidelity_matches_the_per_row_oracle_on_batch_rows():
     holds_nan[CHUNK, 0] = np.nan
     with pytest.raises(ValueError, match=f"fidelity is nan at row {CHUNK}"):
         fidelity(reference, holds_nan)
+
+
+@given(st.sampled_from([2, 8, 16, 38, 64, 138, 1000]), st.integers(0, 40),
+       st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_fidelity_equals_a_per_row_vdot_loop_bit_for_bit(ports, rows, seed, strided):
+    rng = np.random.default_rng(seed)
+    graph = PortGraph([(0, 1)] * (ports // 2))
+    ref = rng.normal(size=ports) + 1j * rng.normal(size=ports)
+    reference = WalkState(graph, ref / np.linalg.norm(ref))
+    amps = rng.normal(size=(rows, ports)) + 1j * rng.normal(size=(rows, ports))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    amps[rng.random(rows) < 0.5] = 0.0  # about half the rows hold zeros
+    if strided:
+        amps = np.asfortranarray(amps)
+    assert fidelity(reference, amps).tobytes() == reference_fidelity(reference, amps).tobytes()

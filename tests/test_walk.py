@@ -9,12 +9,21 @@ from walklang import (
     WalkState,
     dense_step_matrix,
     evolve,
+    initial_state,
+    sequential_ab,
     spatial_eq,
     step,
     vertex_probability,
 )
 from walklang import coins
-from walklang.walk import _coin_blocks, evolve_batch, state_from_text, state_to_text
+from walklang.walk import (
+    Program,
+    _coin_blocks,
+    evolve_batch,
+    state_from_text,
+    state_to_text,
+    vertex_masses,
+)
 
 from helpers import (
     graph_from_edges,
@@ -206,6 +215,27 @@ def test_norm_conserved_over_long_run():
     cs = hadamard_line_coins(g)
     s = evolve(WalkState.from_basis(g, 4, 0), cs, 1000)
     assert abs(s.norm() - 1.0) < 1e-12
+
+
+def test_a_long_program_keeps_one_register_per_port():
+    machine = sequential_ab(4)
+    cs, ports = machine.coins, machine.graph.num_ports
+    every, slots = np.arange(ports), np.ravel(machine.slot_indices)
+    accept = [machine.graph.state_index(v, c) for v in machine.accepting
+              for c in range(machine.graph.degree(v))]
+    state = initial_state(machine, "abba")
+    for inputs, measured in ((every, every), (slots, accept)):
+        program = Program(cs, 10_000, inputs, measured)
+        assert len(program._events) >= 9_000  # the mixer runs at nearly every step
+        used = np.concatenate([regs.ravel() for regs, _ in program._events])
+        # the workspace has one register per port, so it is at most P + 1 wide
+        assert 0 <= used.min() and used.max() < ports
+        assert 0 <= program._outputs.min() and program._outputs.max() < ports
+        final = program(state.amplitudes[None])
+        assert final.shape == (1, len(measured))
+        assert np.array_equal(final[0], reference_evolve(state, cs, 10_000)[measured])
+    # every port measured: the registers end as a permutation of the ports
+    assert sorted(Program(cs, 10_000, every, every)._outputs.tolist()) == every.tolist()
 
 
 def test_coin_serialization_round_trip():
@@ -488,3 +518,16 @@ def test_evolve_batch_checks_its_arguments():
         state = WalkState(g, amps[k])
         assert np.array_equal(row, evolve(state, cs, 5).amplitudes)
         assert np.array_equal(row, reference_evolve(state, cs, 5))
+
+
+@given(st.sampled_from([1, 3, 7, 8, 16, 37, 64, 137]), st.integers(0, 40),
+       st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_vertex_masses_equal_a_per_row_vdot_bit_for_bit(ports, rows, seed, strided):
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(rows, ports)) + 1j * rng.normal(size=(rows, ports))
+    block[rng.random(rows) < 0.5] = 0.0  # about half the rows hold zeros
+    if strided:
+        block = np.asfortranarray(block)
+    expected = np.array([np.vdot(row, row).real for row in np.ascontiguousarray(block)])
+    assert vertex_masses(block).tobytes() == expected.tobytes()
