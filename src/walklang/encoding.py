@@ -151,10 +151,9 @@ def encode_chunks(machine, first, second, eta, size: int) -> Iterator[np.ndarray
     ``eta[b]``, through the machine's a-slot/b-slot table.  A position where
     they agree gets ``alpha = 1/sqrt(n)`` on its slot; where they differ,
     the first word's slot gets ``alpha * eta`` and the second word's slot
-    ``alpha * sqrt(1 - |eta|^2)``, each added onto zero.  The whole grid is
-    checked before the first chunk, and the weights computed once per
-    distinct eta; a chunk only scatters them and guards its rows' norms.
-    No rows make one empty chunk.
+    ``alpha * sqrt(1 - |eta|^2)``, each added onto zero.  The grid is checked,
+    and the weights computed per distinct eta, once before the first chunk;
+    no rows make one empty chunk.
     """
     first, second = np.asarray(first), np.asarray(second)
     eta = np.asarray(eta, dtype=np.complex128)

@@ -450,14 +450,16 @@ def word_acceptance(machine: Machine, word: str) -> float:
 CHUNK = 64
 
 
-def final_amplitudes(machine: Machine, first, second, eta) -> Iterator[np.ndarray]:
-    """Encode and evolve the rows of :func:`encoding.encode_chunks`, ``CHUNK`` at a time.
+def final_amplitudes(machine: Machine, first, second, eta, program=None) -> Iterator[np.ndarray]:
+    """Encode the rows of :func:`encoding.encode_chunks` and run them, ``CHUNK`` at a time.
 
-    The grid is checked whole before the first chunk.  Yields the final
-    ``(rows, P)`` C-contiguous amplitudes of each chunk in order.
+    The grid is checked whole before the first chunk.  Yields, for each
+    chunk in order, the C-contiguous ``(rows, ports)`` amplitudes that
+    ``program`` measures, by default every port after ``machine.steps``.
     """
+    program = program or machine._final_walk
     for amps in encoding.encode_chunks(machine, first, second, eta, CHUNK):
-        yield machine._final_walk(amps)
+        yield program(amps)
 
 
 def acceptances(machine: Machine, words: Sequence[str]) -> np.ndarray:
@@ -468,14 +470,10 @@ def acceptances(machine: Machine, words: Sequence[str]) -> np.ndarray:
     """
     rows = encoding.symbols(machine, words)
     bounds = np.cumsum([0, *(machine.graph.degree(v) for v in machine.accepting)])
-    out = np.empty(len(rows))
-    lo = 0
-    for amps in encoding.encode_chunks(machine, rows, rows, np.ones(len(rows)), CHUNK):
-        final = machine._accepting_walk(amps)
-        hi = lo + len(final)
-        out[lo:hi] = sum(vertex_masses(final[:, a:b]) for a, b in itertools.pairwise(bounds))
-        lo = hi
-    return out
+    finals = final_amplitudes(machine, rows, rows, np.ones(len(rows)), machine._accepting_walk)
+    return np.concatenate([sum((vertex_masses(final[:, a:b]) for a, b in
+                                itertools.pairwise(bounds)), np.zeros(len(final)))
+                           for final in finals])
 
 
 def check_cut(cutpoint: float, margin: float) -> None:

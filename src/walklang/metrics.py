@@ -58,12 +58,11 @@ def fidelity(reference: WalkState, amplitudes: np.ndarray) -> np.ndarray:
     """``|<reference|row>|^2`` for every row of a ``(B, P)`` amplitude array.
 
     One ``np.vecdot`` over the rows copied to C-contiguous memory, where it
-    rounds as a per-row ``np.vdot`` (both BLAS ``zdotc``) and a strided row
-    may not; each overlap is squared as a Python float, as numpy's square
-    rounds some doubles differently.
-    Rounding can put a square a hair above 1, so it is capped at 1; a NaN,
-    infinite or overflowing overlap, from a row that holds one, raises
-    ``ValueError``.  The rows are not checked for norm.
+    rounds as a per-row ``np.vdot`` does (both BLAS ``zdotc``); each overlap
+    is squared as a Python float, as numpy's square rounds some doubles
+    differently.  Rounding can put a square a hair above 1, so it is capped
+    at 1; a NaN, infinite or overflowing overlap, from a row that holds one,
+    raises ``ValueError``.  The rows are not checked for norm.
     """
     rows = np.ascontiguousarray(amplitudes, dtype=np.complex128)
     ports = reference.graph.num_ports

@@ -5,12 +5,9 @@ A walk state is a dense complex vector with one amplitude per
 the order fixed by the graph.  One step applies the per-vertex coin
 blocks and then the shift permutation; ``T`` steps of a walk starting
 from ``psi`` are ``evolve(psi, coins, T)``, the one-row case of
-``evolve_batch``, which steps a ``(B, P)`` array of amplitude rows at once.
-
-Every walk runs as a :class:`Program`, its steps compiled once into
-gemvs on registers: permutation moves become renames, and only mixing
-vertices inside the light cone from the input to the measured ports are
-multiplied.  ``evolve_batch`` inputs and measures every port.
+``evolve_batch``, which steps a ``(B, P)`` array of amplitude rows at once
+as a :class:`Program`: the steps compiled once into gemvs over the light
+cone from the input to the measured ports, permutation moves as renames.
 
 Everything here is pure: state amplitudes and coin blocks are arrays over
 immutable buffers and each operation returns a new state, so walks over a
@@ -214,13 +211,12 @@ class Program:
     Called on ``(B, P)`` rows, it reads their ports ``inputs``, takes every
     other port as zero, and returns the C-contiguous amplitudes of the ports
     ``measured``, in that order.  Each port's amplitude lives in a register,
-    one column of a ``(B, P)`` workspace; a permutation move renames them
+    a column of a ``(B, P)`` workspace, and a permutation move renames them
     here, once.  A mixing vertex is one ``(d, d) @ (d,)`` gemv per row,
-    written back into its d registers, at each step where the inputs have
-    reached one of its ports (forward cone) and its outputs reach a measured
-    port (backward cone); a step's gemvs of one degree share a ``matmul``.
-    A port outside the forward cone holds ``+0.0`` where a step-by-step walk
-    may hold ``-0.0``, which ``np.array_equal`` treats as equal.
+    written back into its registers, at each step where the inputs reach
+    one of its ports and its outputs reach a measured port.  A port outside
+    that cone may hold ``+0.0`` where a step-by-step walk holds ``-0.0``
+    (equal under ``np.array_equal``).
     """
 
     __slots__ = ("_ports", "_inputs", "_events", "_outputs")

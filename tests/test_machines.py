@@ -642,6 +642,21 @@ def test_acceptances_sum_several_accepting_vertices_as_word_acceptance_does():
         assert got.tobytes() == expected.tobytes(), family
 
 
+def test_final_amplitudes_run_the_program_they_are_given():
+    machine = sequential_ab(4)
+    rows = symbols(machine, all_words(4))
+    ones = np.ones(len(rows))
+    [every] = final_amplitudes(machine, rows, rows, ones)
+    [accepted] = final_amplitudes(machine, rows, rows, ones, machine._accepting_walk)
+    [accept] = machine.accepting
+    lo = machine.graph.offset(accept)
+    assert np.array_equal(accepted, every[:, lo:lo + machine.graph.degree(accept)])
+    # no accepting vertex: every word is accepted with probability 0, as word_acceptance says
+    closed = dataclasses.replace(machine, accepting=frozenset(), member=None)
+    assert acceptances(closed, all_words(4)).tolist() == [0.0] * 16
+    assert word_acceptance(closed, "abab") == 0
+
+
 def test_member_word_is_checked_at_construction():
     machine = spatial_eq(2)
     with pytest.raises(ValueError, match=r"'abab' is accepted with probability 0\.25"):

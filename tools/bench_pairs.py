@@ -2,20 +2,23 @@
 """Paired benchmark runs of a parent checkout and a change, written as one BENCH file.
 
     git archive <parent-commit> | tar -x -C ../parent
-    python3 tools/bench_pairs.py --parent ../parent --label light-cone \\
-        --seeds 151-160 --seconds 40 --out BENCH_light-cone.json
+    python3 tools/bench_pairs.py --parent ../parent --label <label> \\
+        --seeds <first>-<last> --out BENCH_<label>.json
 
-Run from the root of the change's checkout.  Each pair runs
-``perfbench/run.py --workload W --seed N --seconds S --trace 0`` for every
-workload on both sides, one seed per pair, the parent first in even pairs
-and the change first in odd ones; the summary gives, per workload and
-end-to-end metric, each side's median and quartiles and the number of
-pairs the change won (higher ``items_per_s`` wins, lower otherwise).
-Then one short ``--trace 1`` run per side and workload gives the
-per-layer numbers, ``walklang verify`` is timed in fresh processes, the
-sides alternating, and the compile time of every light-cone program the workloads
-build is timed in the change (a parent without ``walk.Program`` records
-none).  Every process runs BLAS on one thread.
+The current directory is the change's checkout.  Each pair runs
+``perfbench/run.py --workload W --seed N --trace 0`` for every workload on
+both sides, at perfbench's own run length, one seed per pair, the parent
+first in even pairs and the change first in odd ones; the summary gives,
+per workload and end-to-end metric, each side's median and quartiles and
+the number of pairs the change won (higher ``items_per_s`` wins, lower
+otherwise).  Then one ``TRACE_SECONDS`` ``--trace 1`` run per side and
+workload gives the per-layer numbers, and ``walklang verify`` is timed
+``VERIFY_RUNS`` times in fresh processes, the sides alternating.
+Every process runs BLAS on one thread.
+
+``COMPILE_TIMES`` is specific to the light-cone programs of
+``walk.Program``: it times the compile of each program the workloads
+build, and a checkout without ``walk.Program`` records none.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from pathlib import Path
 WORKLOADS = ("sweep-seq", "qinput", "replay")
 END_TO_END = ("wall_s", "items_per_s", "peak_rss_mb", "setup_s")
 ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": "src"}
+TRACE_SECONDS = 6
+VERIFY_RUNS = 10
 
 # run in a checkout: the median compile time, in ms, of each program a workload builds
 COMPILE_TIMES = r"""
@@ -72,9 +77,13 @@ print(json.dumps(out))
 """
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench(root: Path, workload: str, seed: int, trace: int,
+          seconds: float | None = None) -> dict:
+    """The final line of one perfbench run; ``seconds`` None keeps perfbench's run length."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--trace", str(trace)]
+    if seconds is not None:
+        argv += ["--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=root, env=ENV, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -102,24 +111,20 @@ def source_digest(root: Path) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
-    parser.add_argument("--change", type=Path, default=Path("."), help="checkout of the change")
     parser.add_argument("--label", required=True)
     parser.add_argument("--parent-commit", help="recorded as the parent's commit")
-    parser.add_argument("--seeds", default="151-160", help="first-last, one seed per pair")
-    parser.add_argument("--seconds", type=float, default=40)
-    parser.add_argument("--trace-seconds", type=float, default=6)
-    parser.add_argument("--verify-runs", type=int, default=10)
+    parser.add_argument("--seeds", required=True, help="first-last, one seed per pair")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     first, last = map(int, args.seeds.split("-"))
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    sides = {"parent": args.parent.resolve(), "change": Path.cwd()}
 
     runs = []
     for pair, seed in enumerate(range(first, last + 1)):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             for workload in WORKLOADS:
-                line = bench(sides[side], workload, seed, args.seconds, 0)
+                line = bench(sides[side], workload, seed, 0)
                 runs.append({"pair": pair, "seed": seed, "side": side, "workload": workload,
                              "first": side == order[0], "final_line": line})
                 print(pair, side, workload, json.dumps(line["metrics"]["wall_s"]), flush=True)
@@ -142,10 +147,10 @@ def main() -> int:
                 "change_vs_parent": c["median"] / p["median"] - 1.0,
             }
 
-    traced = {side: {w: bench(root, w, first, args.trace_seconds, 1)["metrics"]
+    traced = {side: {w: bench(root, w, first, 1, TRACE_SECONDS)["metrics"]
                      for w in WORKLOADS} for side, root in sides.items()}
     verify = {side: [] for side in sides}
-    for run in range(args.verify_runs):
+    for run in range(VERIFY_RUNS):
         for side in ("parent", "change") if run % 2 == 0 else ("change", "parent"):
             verify[side].append(verify_seconds(sides[side]))
     verify = {side: {"seconds": times, **spread(times)} for side, times in verify.items()}
@@ -162,8 +167,9 @@ def main() -> int:
         "design": (f"{last - first + 1} pairs, seeds {first}-{last}, one seed per pair; the "
                    "parent ran first in even pairs and the change first in odd ones; each side "
                    "from its own checkout with the same perfbench/; end-to-end times are the "
-                   f"benchmark's speed-normalised medians over a {args.seconds:g} s window per "
-                   "run (--trace 0); traced holds one --trace 1 run per side and workload"),
+                   "benchmark's speed-normalised medians over its default run length per run "
+                   f"(--trace 0); traced holds one {TRACE_SECONDS} s --trace 1 run per side "
+                   "and workload"),
         "parent": args.parent_commit,
         "source_sha256": {side: source_digest(root) for side, root in sides.items()},
         "failed_outputs": {side: sum(r["final_line"]["failed"] for r in runs if r["side"] == side)
