@@ -7,7 +7,6 @@ from .walk import (
     WalkState,
     step,
     evolve,
-    evolve_batch,
     vertex_probability,
     dense_step_matrix,
 )
@@ -22,7 +21,6 @@ from .machines import (
     Machine,
     acceptances,
     classify,
-    empirical_error_margin,
     export_machine,
     machine_for_length,
     member_word,
@@ -44,7 +42,6 @@ __all__ = [
     "WalkState",
     "step",
     "evolve",
-    "evolve_batch",
     "vertex_probability",
     "dense_step_matrix",
     "enumerate_words",
@@ -55,7 +52,6 @@ __all__ = [
     "Machine",
     "acceptances",
     "classify",
-    "empirical_error_margin",
     "export_machine",
     "machine_for_length",
     "member_word",

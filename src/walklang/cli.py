@@ -36,6 +36,8 @@ from .walk import (
 )
 
 MAX_SWEEP_LEN = 16
+# qinput rows, (2**n - 1) * eta_points: a 16-symbol base at 101 points is 6,618,935
+MAX_QINPUT_ROWS = 2**23
 
 
 def _fmt(x: float) -> str:
@@ -97,6 +99,9 @@ def run_qinput(base: str, family: str, eta_points: int, out_path: Path) -> None:
     # every other word of the base's length is a row, so the length is capped as in sweep
     if n > MAX_SWEEP_LEN:
         raise ValueError(f"--base must have at most {MAX_SWEEP_LEN} symbols, got {n}")
+    if (2**n - 1) * eta_points > MAX_QINPUT_ROWS:
+        raise ValueError(f"--eta-points {eta_points} makes more than {MAX_QINPUT_ROWS} rows "
+                         f"for a base of {n} symbols")
     if machines.member_word(family, n) != base:
         raise ValueError(f"{base!r} is not the member word of length {n} for {family}")
     out_path.write_text("".join(_qinput_lines(base, family, eta_points)), newline="\n")
@@ -106,14 +111,15 @@ def _qinput_lines(base: str, family: str, eta_points: int) -> Iterator[str]:
     """The qinput CSV; its batch arrays are freed before the lines are joined."""
     n = len(base)
     machine = machines.machine_for_length(family, n)
-    reference = evolve(
-        encoding.initial_state(machine, base), machine.coins, machine.steps
-    )
+    row = encoding.symbols(machine, [base])
+    # the base's final state, from the same program as every row below
+    final = next(machines.final_amplitudes(machine, row, row, np.ones(1)))
+    reference = WalkState(machine.graph, final[0])
     etas = np.linspace(0.0, 1.0, eta_points)
     eta_text = [_fmt(eta) for eta in etas.tolist()]
     others = [w2 for w2 in encoding.words_of_length(n) if w2 != base]
     # one row per (w2, eta), w2-major, evolved a chunk at a time
-    first = np.broadcast_to(encoding.symbols(machine, [base]), (len(others) * eta_points, n))
+    first = np.broadcast_to(row, (len(others) * eta_points, n))
     second = np.repeat(encoding.symbols(machine, others), eta_points, axis=0)
     finals = machines.final_amplitudes(machine, first, second, np.tile(etas, len(others)))
     # the grid repeats few values, and a chunk's are almost all distinct
@@ -192,7 +198,7 @@ def run_verify(oracle_limit: int = 64, cutpoint: float = 0.9, margin: float = 0.
         coin_set = CoinAssignment(
             graph, [_haar_unitary(rng, graph.degree(v)) for v in graph.vertices]
         )
-        u = dense_step_matrix(graph, coin_set, max_ports=oracle_limit)
+        u = dense_step_matrix(coin_set, max_ports=oracle_limit)
         steps = int(rng.integers(1, 12))
         amps = rng.normal(size=graph.num_ports) + 1j * rng.normal(size=graph.num_ports)
         amps /= np.linalg.norm(amps)

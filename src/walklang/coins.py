@@ -2,7 +2,8 @@
 
 Every function returns a unitary ``numpy`` array of dtype complex128.
 A coin of dimension d acts on the d port amplitudes of one vertex before
-each shift.
+each shift.  Any block, built here or given by a caller, passes
+:func:`check_unitary` when a ``CoinAssignment`` takes it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "identity",
     "tensor",
     "permutation",
-    "custom",
 ]
 
 UNITARY_TOL = 1e-12
@@ -105,15 +105,4 @@ def permutation(perm: Sequence[int]) -> np.ndarray:
     m = np.zeros((d, d), dtype=np.complex128)
     for i, j in enumerate(perm):
         m[j, i] = 1.0
-    return m
-
-
-def custom(matrix: np.ndarray) -> np.ndarray:
-    """Validate a user-supplied coin and return it as complex128.
-
-    Raises :class:`NonUnitaryError` carrying the measured defect when the
-    matrix is not unitary (see :func:`check_unitary`).
-    """
-    m = np.array(matrix, dtype=np.complex128, copy=True)
-    check_unitary(m, "custom coin")
     return m

@@ -40,9 +40,9 @@ class PortGraph:
 
     The vertices are ``0 .. n-1``, n being the largest id + 1, and each of
     them must carry a port.  The flat state layout (:meth:`offset`,
-    :meth:`state_index`, :meth:`shift_target`, :meth:`shift_permutation`,
-    :meth:`degree_classes`) is derived once, into read-only arrays, so a
-    graph may be shared freely between threads.
+    :meth:`state_index`, :meth:`shift_permutation`, :meth:`degree_classes`)
+    is derived once, into read-only arrays, so a graph may be shared freely
+    between threads.
     """
 
     __slots__ = ("_degrees", "_edges", "_offsets", "_shift", "_classes")
@@ -116,10 +116,6 @@ class PortGraph:
     def degrees(self) -> tuple[int, ...]:
         return self._degrees
 
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges in the order that fixes the port labels."""
-        return self._edges
-
     # -- flat state layout ---------------------------------------------------
 
     def offset(self, v: int) -> int:
@@ -130,12 +126,6 @@ class PortGraph:
         if not 0 <= c < self.degree(v):
             raise ValueError(f"invalid port ({v}, {c})")
         return self.offset(v) + c
-
-    def shift_target(self, v: int, c: int) -> tuple[int, int]:
-        """Return the port paired with ``(v, c)``."""
-        target = int(self._shift[self.state_index(v, c)])
-        w = int(np.searchsorted(self._offsets, target, side="right")) - 1
-        return w, target - int(self._offsets[w])
 
     def shift_permutation(self) -> np.ndarray:
         """Read-only, self-inverse permutation of flat indices realising the shift."""

@@ -57,7 +57,6 @@ __all__ = [
     "acceptances",
     "check_cut",
     "classify",
-    "empirical_error_margin",
     "export_machine",
 ]
 
@@ -499,16 +498,6 @@ def classify(p: float, cutpoint: float = 0.9, margin: float = 0.05) -> str:
     if p < cutpoint - margin:
         return "reject"
     return "within-margin"
-
-
-def empirical_error_margin(machine: Machine) -> float:
-    """Max acceptance probability over the non-member words of the machine's length.
-
-    Exhaustive over all 2^n words, so only feasible for short lengths.
-    """
-    words = encoding.words_of_length(machine.word_length)
-    probs = acceptances(machine, words).tolist()
-    return max((p for w, p in zip(words, probs) if w != machine.member), default=0.0)
 
 
 # ---------------------------------------------------------------------------

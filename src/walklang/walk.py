@@ -4,10 +4,10 @@ A walk state is a dense complex vector with one amplitude per
 ``(vertex, port)`` basis state, laid out vertex block by vertex block in
 the order fixed by the graph.  One step applies the per-vertex coin
 blocks and then the shift permutation; ``T`` steps of a walk starting
-from ``psi`` are ``evolve(psi, coins, T)``, the one-row case of
-``evolve_batch``, which steps a ``(B, P)`` array of amplitude rows at once
-as a :class:`Program`: the steps compiled once into gemvs over the light
-cone from the input to the measured ports, permutation moves as renames.
+from ``psi`` are ``evolve(psi, coins, T)``, the one-row call of a
+:class:`Program`, which steps a ``(B, P)`` array of amplitude rows at once:
+the steps compiled once into gemvs over the light cone from the input to
+the measured ports, permutation moves as renames.
 
 Everything here is pure: state amplitudes and coin blocks are arrays over
 immutable buffers and each operation returns a new state, so walks over a
@@ -28,7 +28,6 @@ __all__ = [
     "CoinAssignment",
     "step",
     "evolve",
-    "evolve_batch",
     "Program",
     "vertex_probability",
     "vertex_masses",
@@ -58,16 +57,6 @@ class WalkState:
             _check_norm(amps)
         self._graph = graph
         self._amplitudes = _frozen(amps)
-
-    @classmethod
-    def from_basis(cls, graph: PortGraph, v: int, c: int) -> "WalkState":
-        """All amplitude on the single basis state ``(v, c)``."""
-        amps = np.zeros(graph.num_ports, dtype=np.complex128)
-        amps[graph.state_index(v, c)] = 1.0
-        return cls(graph, amps, _checked=True)
-
-    def amplitude(self, v: int, c: int) -> complex:
-        return complex(self.amplitudes[self.graph.state_index(v, c)])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -185,24 +174,15 @@ def step(state: WalkState, coins: CoinAssignment) -> WalkState:
 def evolve(state: WalkState, coins: CoinAssignment, steps: int) -> WalkState:
     """Apply ``steps`` full SC steps; ``steps = 0`` returns an equal state.
 
-    The one-row case of :func:`evolve_batch`.
+    The one-row call of the :class:`Program` that inputs and measures every
+    port, so every mixing vertex is multiplied at every step.
     """
     graph = state.graph
     if coins.graph is not graph and coins.graph != graph:
         raise ValueError("coin assignment was built for a different graph")
-    amps = evolve_batch(state.amplitudes[None], coins, steps)[0]
+    every = np.arange(graph.num_ports)
+    amps = Program(coins, steps, every, every)(state.amplitudes[None])[0]
     return WalkState(graph, amps, _checked=True)
-
-
-def evolve_batch(amplitudes: np.ndarray, coins: CoinAssignment, steps: int) -> np.ndarray:
-    """Apply ``steps`` full SC steps to every row of a ``(B, P)`` amplitude array.
-
-    The :class:`Program` that inputs and measures every port, so every
-    mixing vertex is multiplied at every step and each row evolves bit for
-    bit as it would alone.  The result is a new C-contiguous array.
-    """
-    every = np.arange(coins.graph.num_ports)
-    return Program(coins, steps, every, every)(amplitudes)
 
 
 class Program:
@@ -216,10 +196,13 @@ class Program:
     written back into its registers, at each step where the inputs reach
     one of its ports and its outputs reach a measured port.  A port outside
     that cone may hold ``+0.0`` where a step-by-step walk holds ``-0.0``
-    (equal under ``np.array_equal``).
+    (equal under ``np.array_equal``).  Once the inputs reach every port and
+    every port reaches a measured one, the steps left are one stored step,
+    repeated: every mixing gemv on registers laid out by port, then one
+    gather for the moves.  So a program's size does not grow with ``steps``.
     """
 
-    __slots__ = ("_ports", "_inputs", "_events", "_outputs")
+    __slots__ = ("_ports", "_inputs", "_events", "_layout", "_loops", "_steady", "_outputs")
 
     def __init__(self, coins: CoinAssignment, steps: int, inputs, measured):
         _check_steps(steps)
@@ -236,14 +219,12 @@ class Program:
                 need[idx] = needs[-1][dst].any(axis=1, keepdims=True)
             needs.append(need)
         everywhere = need if need.all() else None
-        reg, reach, events = np.arange(ports), np.zeros(ports, dtype=bool), []
+        reg, reach, events, loops = np.arange(ports), np.zeros(ports, dtype=bool), [], 0
         reach[inputs] = True
         for t in range(steps):
             after = needs[min(steps - t - 1, len(needs) - 1)]
             if after is everywhere and reach.all():  # and so at every later step
-                for _ in range(t, steps):
-                    events += [(reg[idx], stack) for idx, _, stack in kernel]
-                    reg = reg[route]
+                loops = steps - t
                 break
             for idx, dst, stack in kernel:
                 keep = (reach[idx].any(axis=1) & after[dst].any(axis=1)).nonzero()[0]
@@ -254,8 +235,11 @@ class Program:
                                    else stack[keep]))
                     reach[idx[keep]] = True
             reg, reach = reg[route], reach[route]
-        self._ports, self._inputs = ports, np.asarray(inputs)
-        self._events, self._outputs = tuple(events), reg[measured]
+        self._ports, self._inputs, self._events = ports, np.asarray(inputs), tuple(events)
+        # the steady step: registers laid out by port (port p in column p), then repeated
+        self._layout, self._loops = reg, loops
+        self._steady = kernel, route
+        self._outputs = np.asarray(measured) if loops else reg[measured]
 
     def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
         amps = np.asarray(amplitudes, dtype=np.complex128)
@@ -264,7 +248,14 @@ class Program:
         work = np.zeros(amps.shape, dtype=np.complex128)
         work[:, self._inputs] = amps[:, self._inputs]
         for regs, blocks in self._events:
-            work[:, regs] = (blocks @ work[:, regs][..., None])[..., 0]
+            work[:, regs] = (blocks @ work.take(regs, axis=1)[..., None])[..., 0]
+        if self._loops:
+            kernel, route = self._steady
+            work = work.take(self._layout, axis=1)
+            for _ in range(self._loops):
+                for idx, _, stack in kernel:
+                    work[:, idx] = (stack @ work.take(idx, axis=1)[..., None])[..., 0]
+                work = work.take(route, axis=1)
         return np.take(work, self._outputs, axis=1)
 
 
@@ -293,14 +284,13 @@ def all_vertex_probabilities(state: WalkState) -> np.ndarray:
     return out
 
 
-def dense_step_matrix(
-    graph: PortGraph, coins: CoinAssignment, max_ports: int = 64
-) -> np.ndarray:
-    """Explicit SC matrix over the flat port basis.
+def dense_step_matrix(coins: CoinAssignment, max_ports: int = 64) -> np.ndarray:
+    """Explicit SC matrix over the flat port basis of ``coins.graph``.
 
     Intended as an independent cross-check of :func:`evolve` on small
     graphs; refuses spaces larger than ``max_ports``.
     """
+    graph = coins.graph
     n = graph.num_ports
     if n > max_ports:
         raise ValueError(f"graph has {n} ports, dense matrix limited to {max_ports}")

@@ -10,6 +10,11 @@ from walklang import CoinAssignment, PortGraph, WalkState
 from walklang import coins as coinlib
 
 
+def basis_state(graph: PortGraph, v: int, c: int) -> WalkState:
+    """All amplitude on the single basis state ``(v, c)``."""
+    return WalkState(graph, np.eye(graph.num_ports)[graph.state_index(v, c)])
+
+
 def line_graph(n: int) -> PortGraph:
     """Path of n vertices; interior vertices get ports [left, right]."""
     return PortGraph([(i, i + 1) for i in range(n - 1)])

@@ -199,7 +199,7 @@ def test_criterion_8_engine_correctness():
         cs = CoinAssignment(
             graph, [haar_unitary(rng, graph.degree(v)) for v in graph.vertices]
         )
-        u = dense_step_matrix(graph, cs)
+        u = dense_step_matrix(cs)
         steps = int(rng.integers(1, 10))
         amps = rng.normal(size=graph.num_ports) + 1j * rng.normal(size=graph.num_ports)
         amps /= np.linalg.norm(amps)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,15 +12,18 @@ from walklang import (
     jaro,
     machine_for_length,
     member_word,
+    sequential_word,
     spatial_eq,
     vertex_probability,
     word_acceptance,
 )
-from walklang import cli
+from walklang import cli, fidelity
 from walklang.cli import _clamp, _fmt_each, main, run_verify
+from walklang.encoding import symbols, words_of_length
+from walklang.machines import FAMILIES, final_amplitudes
 from walklang.walk import state_to_text
 
-from helpers import hadamard_line_coins, line_graph
+from helpers import basis_state, hadamard_line_coins, line_graph
 
 
 def read_rows(path):
@@ -143,6 +147,55 @@ def test_qinput_rejects_a_base_longer_than_the_sweep_cap(tmp_path, capsys, monke
     assert "--base must have at most 4 symbols, got 6" in capsys.readouterr().err
 
 
+def test_qinput_rejects_a_grid_over_the_row_cap(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "x.csv"
+
+    def no_machine(*args):
+        raise AssertionError("a machine was built for a grid over the cap")
+
+    # so that a missing cap fails here, before a billion-row grid is allocated
+    monkeypatch.setattr(cli.machines, "machine_for_length", no_machine)
+    tracemalloc.start()
+    try:
+        assert main(["qinput", "--eta-points", "1000000000", "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # rejected before a machine, a word list or a grid is built
+    assert peak < 2**20
+    assert capsys.readouterr().err == ("walklang: error: --eta-points 1000000000 makes more "
+                                       "than 8388608 rows for a base of 4 symbols\n")
+    assert not out.exists()
+    monkeypatch.undo()
+    # a 16-symbol base fits at the default 101 points
+    assert (2**16 - 1) * 101 <= cli.MAX_QINPUT_ROWS
+    # the 15 other words of aabb at 3 points are 45 rows
+    monkeypatch.setattr(cli, "MAX_QINPUT_ROWS", 45)
+    assert main(["qinput", "--eta-points", "3", "--out", str(out)]) == 0
+    assert main(["qinput", "--eta-points", "4", "--out", str(out)]) == 2
+
+
+def test_qinput_reference_is_the_evolved_member():
+    built = [machine_for_length(family, n) for family in FAMILIES for n in (2, 4, 6, 8)]
+    for machine in [*built, sequential_word("abba")]:
+        base, n = machine.member, machine.word_length
+        row = symbols(machine, [base])
+        final = next(final_amplitudes(machine, row, row, np.ones(1)))[0]
+        evolved = evolve(initial_state(machine, base), machine.coins, machine.steps).amplitudes
+        assert np.array_equal(final, evolved), (machine.family, n)
+        # only the sign of a zero outside the forward cone may differ
+        differ = final.view(np.uint64) != evolved.view(np.uint64)
+        assert not final.view(np.float64)[differ].any()
+        # qinput's rows for five etas: the fidelities against either are the same bits
+        others = [w for w in words_of_length(n) if w != base]
+        first = np.broadcast_to(row, (5 * len(others), n))
+        second = np.repeat(symbols(machine, others), 5, axis=0)
+        eta = np.tile(np.linspace(0.0, 1.0, 5), len(others))
+        rows = np.concatenate(list(final_amplitudes(machine, first, second, eta)))
+        expected = fidelity(WalkState(machine.graph, evolved), rows)
+        assert fidelity(WalkState(machine.graph, final), rows).tobytes() == expected.tobytes()
+
+
 def test_simulate_replays_exported_machine(tmp_path, capsys):
     machine = spatial_eq(1)
     paths = export_machine(machine, tmp_path)
@@ -184,13 +237,13 @@ def test_simulate_zero_steps_returns_input(tmp_path, capsys):
 
 
 def test_simulate_line_walk_against_dense_oracle(tmp_path, capsys):
-    from walklang import WalkState, dense_step_matrix
+    from walklang import dense_step_matrix
 
     g = line_graph(5)
     cs = hadamard_line_coins(g)
     (tmp_path / "graph.txt").write_text(g.to_edge_lines())
     (tmp_path / "coins.txt").write_text(cs.to_text())
-    start = WalkState.from_basis(g, 2, 0)
+    start = basis_state(g, 2, 0)
     (tmp_path / "state.txt").write_text(state_to_text(start))
     main([
         "simulate",
@@ -200,7 +253,7 @@ def test_simulate_line_walk_against_dense_oracle(tmp_path, capsys):
         "--steps", "2",
     ])
     got = [float(l.split()[1]) for l in capsys.readouterr().out.splitlines()]
-    u = dense_step_matrix(g, cs)
+    u = dense_step_matrix(cs)
     expected = np.linalg.matrix_power(u, 2) @ start.amplitudes
     for v in g.vertices:
         lo, hi = g.offset(v), g.offset(v) + g.degree(v)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from walklang import NonUnitaryError
+from walklang import CoinAssignment, NonUnitaryError, PortGraph
 from walklang import coins
 
 
@@ -119,14 +119,20 @@ def test_permutation_rejects_non_permutation():
         coins.permutation([0, 0, 1])
 
 
+def custom_coins(block) -> CoinAssignment:
+    """A caller's own coin block at both ends of ``len(block)`` parallel edges."""
+    return CoinAssignment(PortGraph([(0, 1)] * len(block)), [block, block])
+
+
 def test_custom_accepts_hadamard_and_grover():
-    coins.custom(coins.hadamard())
-    coins.custom(coins.grover(6))
+    for block in (coins.hadamard(), coins.grover(6)):
+        taken = custom_coins(block).matrices[0]
+        assert taken.dtype == np.complex128 and np.array_equal(taken, block)
 
 
 def test_custom_rejects_with_measured_defect():
-    with pytest.raises(NonUnitaryError) as err:
-        coins.custom(np.array([[1, 0], [0, 2]]))
+    with pytest.raises(NonUnitaryError, match="coin at vertex 0") as err:
+        custom_coins(np.array([[1, 0], [0, 2]]))
     assert err.value.defect == pytest.approx(3.0)
 
 
@@ -137,7 +143,7 @@ def test_grover_is_unitary(d):
 
 def test_custom_rejects_nan():
     with pytest.raises(NonUnitaryError):
-        coins.custom([[np.nan]])
+        custom_coins([[np.nan]])
 
 
 def test_tensor_rejects_nan_factor():

@@ -9,6 +9,18 @@ from walklang import PortGraph, spatial_eq
 from helpers import counted_pairing, graph_from_edges
 
 
+def edge_list(g: PortGraph) -> list[tuple[int, int]]:
+    return [tuple(map(int, line.split())) for line in g.to_edge_lines().splitlines()]
+
+
+def assert_pairs(g: PortGraph, table: dict[tuple[int, int], tuple[int, int]]) -> None:
+    """The shift pairs each port of ``table`` as listed, and as the per-edge counter does."""
+    pairing = counted_pairing(edge_list(g))
+    for (v, c), (w, d) in table.items():
+        assert pairing[(v, c)] == (w, d)
+        assert g.shift_permutation()[g.state_index(v, c)] == g.state_index(w, d)
+
+
 def test_vertex_count_is_the_largest_id_plus_one():
     g = PortGraph([(0, 3), (1, 2)])
     assert g.num_vertices == 4
@@ -18,35 +30,30 @@ def test_vertex_count_is_the_largest_id_plus_one():
 def test_connect_first_edge_ports():
     g = PortGraph([(0, 1)])
     assert g.degree(0) == 1 and g.degree(1) == 1
-    assert g.shift_target(0, 0) == (1, 0)
+    assert_pairs(g, {(0, 0): (1, 0)})
 
 
 def test_self_loop_uses_two_ports():
     g = PortGraph([(0, 0), (0, 0)])
     assert g.degree(0) == 4
-    assert g.shift_target(0, 2) == (0, 3)
-    assert g.shift_target(0, 3) == (0, 2)
+    assert_pairs(g, {(0, 2): (0, 3), (0, 3): (0, 2)})
 
 
 def test_two_edges_pairing_table():
     # edges (0,1) then (0,2): vertex 0 carries ports 0 and 1
     g = PortGraph([(0, 1), (0, 2)])
     assert g.degree(0) == 2
-    assert g.shift_target(0, 0) == (1, 0)
-    assert g.shift_target(0, 1) == (2, 0)
-    assert g.shift_target(2, 0) == (0, 1)
+    assert_pairs(g, {(0, 0): (1, 0), (0, 1): (2, 0), (2, 0): (0, 1)})
 
 
 def test_three_cycle_pairing_table():
     g = PortGraph([(0, 1), (1, 2), (2, 0)])
-    assert g.shift_target(2, 1) == (0, 1)
-    assert g.shift_target(0, 0) == (1, 0)
-    assert g.shift_target(1, 1) == (2, 0)
+    assert_pairs(g, {(2, 1): (0, 1), (0, 0): (1, 0), (1, 1): (2, 0)})
 
 
 def test_shift_single_edge():
     g = PortGraph([(0, 1)])
-    assert g.shift_target(0, 0) == (1, 0)
+    assert_pairs(g, {(0, 0): (1, 0), (1, 0): (0, 0)})
 
 
 def test_connect_unknown_vertex():
@@ -62,7 +69,7 @@ def test_connect_unknown_vertex():
 def test_shift_target_invalid_port():
     g = PortGraph([(0, 1)])
     with pytest.raises(ValueError, match="invalid port"):
-        g.shift_target(0, 1)
+        g.shift_permutation()[g.state_index(0, 1)]
 
 
 def test_offset_rejects_unknown_vertex():
@@ -107,10 +114,10 @@ def test_vertex_ids_are_integers_in_edges_and_lookups():
 def test_shift_array_is_read_only():
     # a writeable shift let one write pair port 0 with itself, and the walk lose norm
     g = spatial_eq(1).graph
-    assert g.shift_target(0, 0) == (4, 0)
+    assert_pairs(g, {(0, 0): (4, 0)})
     with pytest.raises(ValueError, match="read-only"):
         g.shift_permutation()[0] = 0
-    assert g.shift_target(0, 0) == (4, 0)
+    assert_pairs(g, {(0, 0): (4, 0)})
     with pytest.raises(ValueError, match="read-only"):
         g._offsets[1] = 0
     assert g.offset(1) == 1
@@ -134,16 +141,13 @@ def test_shift_is_self_inverse_bijection(case):
     assert sorted(perm) == list(range(g.num_ports))
     assert np.array_equal(perm[perm], np.arange(g.num_ports))
     assert np.all(perm != np.arange(g.num_ports))
-    for v in g.vertices:
-        for c in range(g.degree(v)):
-            assert g.shift_target(*g.shift_target(v, c)) == (v, c)
 
 
 @given(edge_cases)
 def test_shift_matches_a_per_edge_port_counter(case):
     n, edges = case
     g = graph_from_edges(n, edges)
-    pairing = counted_pairing(list(g.edges()))
+    pairing = counted_pairing(edge_list(g))
     assert len(pairing) == g.num_ports
     for (v, c), (w, d) in pairing.items():
         assert g.shift_permutation()[g.state_index(v, c)] == g.state_index(w, d)
@@ -153,7 +157,7 @@ def test_shift_matches_a_per_edge_port_counter(case):
 def test_degree_sum_counts_edge_ends(case):
     n, edges = case
     g = graph_from_edges(n, edges)
-    assert sum(g.degree(v) for v in g.vertices) == 2 * len(g.edges())
+    assert sum(g.degree(v) for v in g.vertices) == 2 * len(edge_list(g)) == g.num_ports
 
 
 def test_edge_lines_round_trip():
@@ -163,7 +167,7 @@ def test_edge_lines_round_trip():
     back = PortGraph.from_edge_lines(text)
     assert back == g
     assert back.to_edge_lines() == text
-    assert back.shift_target(0, 1) == (1, 1)
+    assert_pairs(back, {(0, 1): (1, 1)})
 
 
 def test_edge_lines_parse_errors_carry_line_numbers():

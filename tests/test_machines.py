@@ -10,7 +10,6 @@ from walklang import (
     CoinAssignment,
     PortGraph,
     classify,
-    empirical_error_margin,
     evolve,
     export_machine,
     initial_state,
@@ -27,7 +26,7 @@ from walklang import (
 from walklang.coins import grover
 from walklang.encoding import encode, symbols
 from walklang.machines import CHUNK, FAMILIES, Machine, acceptances, final_amplitudes
-from walklang.walk import WalkState, all_vertex_probabilities, evolve_batch
+from walklang.walk import Program, WalkState, all_vertex_probabilities
 
 from helpers import (
     all_words,
@@ -291,9 +290,17 @@ def test_classify_exhaustive_default_cutpoint():
 
 
 def test_empirical_error_margins():
-    assert empirical_error_margin(spatial_eq(1)) == pytest.approx(0.25, abs=1e-12)
-    assert empirical_error_margin(spatial_eq(2)) == pytest.approx(0.625, abs=1e-12)
-    assert empirical_error_margin(sequential_ab(4)) == pytest.approx(0.75, abs=1e-9)
+    # the margin is the largest acceptance of a word of the machine's length
+    # other than its member; a word machine's best other word misses one symbol
+    margins = {}
+    for machine, margin, tol in ((spatial_eq(1), 0.25, 1e-12), (spatial_eq(2), 0.625, 1e-12),
+                                 (sequential_ab(4), 0.75, 1e-9),
+                                 (sequential_word("abba"), 0.75, 1e-12)):
+        words = all_words(machine.word_length)
+        others = [p for w, p in zip(words, acceptances(machine, words).tolist())
+                  if w != machine.member]
+        margins[machine.family, machine.word_length] = max(others)
+        assert max(others) == pytest.approx(margin, abs=tol)
     # the spatial maximum is attained by words one symbol away from the member
     machine = spatial_eq(2)
     one_off = max(
@@ -301,9 +308,7 @@ def test_empirical_error_margins():
         for w in all_words(4)
         if sum(x != y for x, y in zip(w, "aabb")) == 1
     )
-    assert one_off == pytest.approx(empirical_error_margin(machine), abs=1e-12)
-    # a word machine skips its own target, and the best other word misses one symbol
-    assert empirical_error_margin(sequential_word("abba")) == pytest.approx(0.75, abs=1e-12)
+    assert one_off == pytest.approx(margins["spatial-eq", 4], abs=1e-12)
 
 
 # -- structure and reproducibility -------------------------------------------
@@ -605,12 +610,12 @@ def test_evolve_batch_rows_match_reference_loop(family):
         quantum = reference_rows(machine, w1s, w2s, etas)
         first, second = symbols(machine, w1s), symbols(machine, w2s)
 
-        single = evolve_batch(encode(machine, first[:1], first[:1], np.ones(1)),
-                              machine.coins, machine.steps)
+        every = np.arange(machine.graph.num_ports)
+        evolve_rows = Program(machine.coins, machine.steps, every, every)
+        single = evolve_rows(encode(machine, first[:1], first[:1], np.ones(1)))
         assert single.shape == (1, machine.graph.num_ports)
         assert np.array_equal(single[0], classical[0])
-        whole = evolve_batch(encode(machine, first, first, np.ones(len(w1s))),
-                             machine.coins, machine.steps)
+        whole = evolve_rows(encode(machine, first, first, np.ones(len(w1s))))
         chunked = np.concatenate(list(final_amplitudes(machine, first, second, etas)))
         for k in range(len(w1s)):
             assert np.array_equal(whole[k], classical[k]), (n, k)

@@ -14,9 +14,9 @@ from walklang import (
 )
 from walklang import coins
 from walklang.machines import CHUNK, FAMILIES, final_amplitudes, member_word
-from walklang.walk import evolve_batch
+from walklang.walk import Program
 
-from helpers import all_words, hadamard_line_coins, line_graph, reference_fidelity
+from helpers import all_words, basis_state, hadamard_line_coins, line_graph, reference_fidelity
 
 words = st.text(alphabet="ab", min_size=1, max_size=10)
 
@@ -155,8 +155,8 @@ def test_fidelity_half():
 
 def test_fidelity_of_basis_and_hadamard_rows():
     g = PortGraph([(0, 1)])
-    a = WalkState.from_basis(g, 0, 0)
-    b = WalkState.from_basis(g, 1, 0)
+    a = basis_state(g, 0, 0)
+    b = basis_state(g, 1, 0)
     assert fidelity(a, rows(a, b)).tolist() == [pytest.approx(1.0), 0.0]
     h = coins.hadamard()
     c = WalkState(g, h @ np.array([1, 0]))
@@ -167,7 +167,7 @@ def test_fidelity_of_basis_and_hadamard_rows():
 def test_fidelity_mismatched_bases():
     a = two_port_state(1, 0)
     g = line_graph(3)
-    b = WalkState.from_basis(g, 0, 0)
+    b = basis_state(g, 0, 0)
     with pytest.raises(ValueError, match=r"shape \(1, 4\), reference has 2 ports"):
         fidelity(a, rows(b))
     with pytest.raises(ValueError, match=r"shape \(2,\), reference has 2 ports"):
@@ -192,7 +192,7 @@ def test_fidelity_invariant_under_walk_step(seed):
 
 
 def test_fidelity_rejects_a_nan_overlap():
-    s = WalkState.from_basis(PortGraph([(0, 1)]), 0, 0)
+    s = basis_state(PortGraph([(0, 1)]), 0, 0)
     holds_nan = np.array([[1.0, 0.0], [np.nan, 0.0]])
     with pytest.raises(ValueError, match="fidelity is nan at row 1"):
         fidelity(s, holds_nan)
@@ -212,7 +212,8 @@ def test_fidelity_matches_the_per_row_oracle_on_batch_rows():
     second = np.repeat(encoding.symbols(machine, others), 11, axis=0)
     eta = np.tile(np.linspace(0.0, 1.0, 11), len(others))
     amps = encoding.encode(machine, first, second, eta)
-    final = evolve_batch(amps, machine.coins, machine.steps)
+    every = np.arange(machine.graph.num_ports)
+    final = Program(machine.coins, machine.steps, every, every)(amps)
     assert final.flags.c_contiguous
     # the same rows, strided
     final = np.asfortranarray(final)

@@ -1,3 +1,7 @@
+import resource
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,13 +23,13 @@ from walklang import coins
 from walklang.walk import (
     Program,
     _coin_blocks,
-    evolve_batch,
     state_from_text,
     state_to_text,
     vertex_masses,
 )
 
 from helpers import (
+    basis_state,
     graph_from_edges,
     haar_unitary,
     hadamard_line_coins,
@@ -46,8 +50,8 @@ def test_walk_state_checks_shape_and_norm():
         WalkState(g, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="normalised"):
         WalkState(g, np.array([1.0, 1.0]))
-    s = WalkState.from_basis(g, 1, 0)
-    assert s.amplitude(1, 0) == 1.0
+    s = WalkState(g, np.array([0.0, 1.0]))
+    assert s.amplitudes[g.state_index(1, 0)] == 1.0
 
 
 def test_coin_assignment_validates_dimensions():
@@ -61,7 +65,7 @@ def test_coin_assignment_validates_dimensions():
 def test_identity_walk_on_edge_returns_after_two_steps():
     g = single_edge()
     cs = CoinAssignment.by_degree(g, coins.identity)
-    s = WalkState.from_basis(g, 0, 0)
+    s = basis_state(g, 0, 0)
     assert np.allclose(step(step(s, cs), cs).amplitudes, s.amplitudes, atol=0)
 
 
@@ -69,7 +73,7 @@ def test_line_walk_single_step():
     # one Hadamard step from the centre puts probability 1/2 on each neighbour
     g = line_graph(7)
     cs = hadamard_line_coins(g)
-    s1 = step(WalkState.from_basis(g, 3, 1), cs)
+    s1 = step(basis_state(g, 3, 1), cs)
     assert vertex_probability(s1, 2) == pytest.approx(0.5, abs=1e-15)
     assert vertex_probability(s1, 4) == pytest.approx(0.5, abs=1e-15)
 
@@ -78,14 +82,14 @@ def test_line_walk_two_steps_frozen_distribution():
     # computed against the dense step matrix for this engine's port layout
     g = line_graph(7)
     cs = hadamard_line_coins(g)
-    s2 = evolve(WalkState.from_basis(g, 3, 1), cs, 2)
+    s2 = evolve(basis_state(g, 3, 1), cs, 2)
     probs = {x - 3: vertex_probability(s2, x) for x in g.vertices}
     assert probs[-2] == pytest.approx(0.25, abs=1e-12)
     assert probs[0] == pytest.approx(0.5, abs=1e-12)
     assert probs[2] == pytest.approx(0.25, abs=1e-12)
     assert probs[-1] == pytest.approx(0.0, abs=1e-12)
-    u = dense_step_matrix(g, cs)
-    expected = np.linalg.matrix_power(u, 2) @ WalkState.from_basis(g, 3, 1).amplitudes
+    u = dense_step_matrix(cs)
+    expected = np.linalg.matrix_power(u, 2) @ basis_state(g, 3, 1).amplitudes
     assert np.max(np.abs(s2.amplitudes - expected)) < 1e-12
 
 
@@ -94,19 +98,19 @@ def test_step_rejects_foreign_coins():
     other = line_graph(3)
     cs = CoinAssignment.by_degree(other, coins.identity)
     with pytest.raises(ValueError, match="different graph"):
-        step(WalkState.from_basis(g, 0, 0), cs)
+        step(basis_state(g, 0, 0), cs)
 
 
 def test_evolve_zero_steps_rejects_foreign_coins():
     cs = CoinAssignment.by_degree(line_graph(3), coins.identity)
     with pytest.raises(ValueError, match="different graph"):
-        evolve(WalkState.from_basis(single_edge(), 0, 0), cs, 0)
+        evolve(basis_state(single_edge(), 0, 0), cs, 0)
 
 
 def test_evolve_zero_steps_is_identity():
     g = single_edge()
     cs = CoinAssignment.by_degree(g, coins.identity)
-    s = WalkState.from_basis(g, 0, 0)
+    s = basis_state(g, 0, 0)
     out = evolve(s, cs, 0)
     assert np.array_equal(out.amplitudes, s.amplitudes)
     with pytest.raises(ValueError):
@@ -115,7 +119,7 @@ def test_evolve_zero_steps_is_identity():
 
 def test_vertex_probability_basics():
     g = line_graph(3)
-    s = WalkState.from_basis(g, 1, 1)
+    s = basis_state(g, 1, 1)
     assert vertex_probability(s, 1) == 1.0
     assert vertex_probability(s, 0) == 0.0
     total = sum(vertex_probability(s, v) for v in g.vertices)
@@ -125,14 +129,14 @@ def test_vertex_probability_basics():
 def test_dense_matrix_single_edge_identity_coins_is_swap():
     g = single_edge()
     cs = CoinAssignment.by_degree(g, coins.identity)
-    u = dense_step_matrix(g, cs)
+    u = dense_step_matrix(cs)
     assert np.array_equal(u, np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def test_dense_matrix_five_vertex_line():
     g = line_graph(5)
     cs = hadamard_line_coins(g)
-    u = dense_step_matrix(g, cs)
+    u = dense_step_matrix(cs)
     assert u.shape == (8, 8)
     assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-12
 
@@ -141,7 +145,7 @@ def test_dense_matrix_respects_port_limit():
     g = line_graph(5)
     cs = hadamard_line_coins(g)
     with pytest.raises(ValueError, match="limited"):
-        dense_step_matrix(g, cs, max_ports=4)
+        dense_step_matrix(cs, max_ports=4)
 
 
 graph_cases = st.integers(2, 6).flatmap(
@@ -161,7 +165,7 @@ def test_evolve_matches_dense_oracle(case):
     g = graph_from_edges(n, edges)
     rng = np.random.default_rng(seed)
     cs = CoinAssignment(g, [haar_unitary(rng, g.degree(v)) for v in g.vertices])
-    u = dense_step_matrix(g, cs)
+    u = dense_step_matrix(cs)
     assert np.max(np.abs(u.conj().T @ u - np.eye(g.num_ports))) < 1e-12
     amps = rng.normal(size=g.num_ports) + 1j * rng.normal(size=g.num_ports)
     amps /= np.linalg.norm(amps)
@@ -213,7 +217,7 @@ def test_evolve_routes_permutation_coins_bit_for_bit(case):
 def test_norm_conserved_over_long_run():
     g = line_graph(9)
     cs = hadamard_line_coins(g)
-    s = evolve(WalkState.from_basis(g, 4, 0), cs, 1000)
+    s = evolve(basis_state(g, 4, 0), cs, 1000)
     assert abs(s.norm() - 1.0) < 1e-12
 
 
@@ -226,16 +230,54 @@ def test_a_long_program_keeps_one_register_per_port():
     state = initial_state(machine, "abba")
     for inputs, measured in ((every, every), (slots, accept)):
         program = Program(cs, 10_000, inputs, measured)
-        assert len(program._events) >= 9_000  # the mixer runs at nearly every step
-        used = np.concatenate([regs.ravel() for regs, _ in program._events])
+        # the mixer runs at nearly every step: in the repeated steady step once
+        # the inputs reach every port, else in one event per step
+        assert program._loops + len(program._events) >= 9_000
+        used = np.concatenate([program._layout, *(regs.ravel() for regs, _ in program._events)])
         # the workspace has one register per port, so it is at most P + 1 wide
         assert 0 <= used.min() and used.max() < ports
+        assert sorted(program._layout.tolist()) == every.tolist()
         assert 0 <= program._outputs.min() and program._outputs.max() < ports
         final = program(state.amplitudes[None])
         assert final.shape == (1, len(measured))
         assert np.array_equal(final[0], reference_evolve(state, cs, 10_000)[measured])
-    # every port measured: the registers end as a permutation of the ports
-    assert sorted(Program(cs, 10_000, every, every)._outputs.tolist()) == every.tolist()
+    # every port input and measured: all steps are the steady one, read out by port
+    program = Program(cs, 10_000, every, every)
+    assert program._loops == 10_000 and program._events == ()
+    assert program._steady[0] is cs._kernel  # every mixing class
+    assert program._outputs.tolist() == every.tolist()
+
+
+def test_a_program_enters_its_steady_step_part_way():
+    # on an odd cycle one input port reaches every port after a few steps
+    g = PortGraph([(v, (v + 1) % 5) for v in range(5)])
+    cs = CoinAssignment.by_degree(g, lambda d: coins.hadamard())
+    every, state = np.arange(g.num_ports), basis_state(g, 0, 0)
+    program = Program(cs, 40, [g.state_index(0, 0)], every)
+    assert program._events and 0 < program._loops < 40
+    assert program._layout.tolist() != every.tolist()
+    assert np.array_equal(program(state.amplitudes[None])[0], reference_evolve(state, cs, 40))
+
+
+def test_a_program_does_not_grow_with_its_steps():
+    machine = sequential_ab(4)
+    every = np.arange(machine.graph.num_ports)
+    Program(machine.coins, 10, every, every)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        Program(machine.coins, 10**6, every, every)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.010
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 5 * 1024
+    tracemalloc.start()
+    try:
+        program = Program(machine.coins, 10**6, every, every)
+        assert tracemalloc.get_traced_memory()[1] < 5 * 2**20
+    finally:
+        tracemalloc.stop()
+    assert program._loops == 10**6 and program._events == ()
 
 
 def test_coin_serialization_round_trip():
@@ -261,7 +303,7 @@ def test_coin_parse_errors_have_line_numbers():
 def test_state_serialization_round_trip():
     g = line_graph(3)
     cs = hadamard_line_coins(g)
-    s = evolve(WalkState.from_basis(g, 1, 0), cs, 2)
+    s = evolve(basis_state(g, 1, 0), cs, 2)
     back = state_from_text(g, state_to_text(s))
     assert np.array_equal(back.amplitudes, s.amplitudes)
     with pytest.raises(ValueError, match="line 1"):
@@ -346,7 +388,7 @@ def test_coin_blocks_are_read_only():
             block[:] = 2.0
         with pytest.raises(ValueError):
             block.flags.writeable = True
-    s = evolve(WalkState.from_basis(g, 1, 0), cs, 3)
+    s = evolve(basis_state(g, 1, 0), cs, 3)
     assert abs(s.norm() - 1.0) < 1e-12
 
 
@@ -360,7 +402,7 @@ def test_coin_assignment_copies_caller_blocks():
 
 def test_state_amplitudes_are_read_only():
     g = line_graph(3)
-    s = WalkState.from_basis(g, 1, 0)
+    s = basis_state(g, 1, 0)
     evolved = evolve(s, hadamard_line_coins(g), 2)
     for state in (s, evolved, WalkState(g, np.array([1.0, 0, 0, 0]))):
         with pytest.raises(ValueError, match="read-only"):
@@ -370,7 +412,7 @@ def test_state_amplitudes_are_read_only():
 
 def test_states_and_coin_assignments_reject_attribute_rebinding():
     g = line_graph(3)
-    s = WalkState.from_basis(g, 1, 0)
+    s = basis_state(g, 1, 0)
     cs = hadamard_line_coins(g)
     for obj, attr, value in ((s, "amplitudes", np.zeros(4)), (s, "graph", single_edge()),
                              (cs, "matrices", ()), (cs, "graph", single_edge())):
@@ -383,7 +425,7 @@ def test_arrays_cannot_be_made_writeable_again():
     # write then paired port 0 with itself or corrupted the stacks evolve multiplies
     machine = spatial_eq(1)
     g, cs = machine.graph, machine.coins
-    state = WalkState.from_basis(g, 0, 0)
+    state = basis_state(g, 0, 0)
     arrays = [g.shift_permutation(), g._offsets, *(a for c in g.degree_classes() for a in c),
               state.amplitudes, evolve(state, cs, 2).amplitudes,
               WalkState(g, state.amplitudes).amplitudes,
@@ -394,7 +436,7 @@ def test_arrays_cannot_be_made_writeable_again():
             with pytest.raises(ValueError):
                 array.flags.writeable = True
             array = array.base
-    assert g.shift_target(0, 0) == (4, 0)
+    assert g.shift_permutation()[g.state_index(0, 0)] == g.state_index(4, 0)
 
 
 def outcome(parse, *args):
@@ -503,18 +545,19 @@ def test_state_file_round_trips_random_states_to_the_bit(n, seed):
     assert back.amplitudes.tobytes() == s.amplitudes.tobytes()
 
 
-def test_evolve_batch_checks_its_arguments():
+def test_program_checks_its_arguments():
     g = line_graph(3)
     cs = hadamard_line_coins(g)
     amps = np.eye(g.num_ports, dtype=np.complex128)
+    every = np.arange(g.num_ports)
     for steps in (-1, True, 2.5):
         with pytest.raises(ValueError, match=f"non-negative int, got {steps!r}"):
-            evolve_batch(amps, cs, steps)
+            Program(cs, steps, every, every)
     for bad in (amps[0], amps[:, :-1]):
         with pytest.raises(ValueError, match=f"graph has {g.num_ports} ports"):
-            evolve_batch(bad, cs, 1)
-    assert np.array_equal(evolve_batch(amps, cs, 0), amps)
-    for k, row in enumerate(evolve_batch(amps, cs, 5)):
+            Program(cs, 1, every, every)(bad)
+    assert np.array_equal(Program(cs, 0, every, every)(amps), amps)
+    for k, row in enumerate(Program(cs, 5, every, every)(amps)):
         state = WalkState(g, amps[k])
         assert np.array_equal(row, evolve(state, cs, 5).amplitudes)
         assert np.array_equal(row, reference_evolve(state, cs, 5))
