@@ -16,9 +16,10 @@ a command with the same flags reproduces its output byte for byte.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -51,6 +52,19 @@ def _fmt_each(values: np.ndarray) -> list[str]:
     return [text[k] for k in inverse.tolist()]
 
 
+def _write_blocks(out_path: Path, blocks: Iterable[str]) -> None:
+    """Write the blocks to a new file beside ``out_path``, renamed onto it, or removed on error."""
+    part = out_path.with_name(f".{out_path.name}.{os.urandom(4).hex()}.tmp")
+    f = open(part, "x", newline="\n")
+    try:
+        with f:
+            f.writelines(blocks)
+        os.replace(part, out_path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def _clamp(p):
     """Clip probabilities, one or an array, into [0, 1]; NaN is an error, not 0."""
     if np.isnan(p).any():
@@ -65,26 +79,22 @@ def _clamp(p):
 def run_sweep(family: str, max_len: int, out_path: Path) -> None:
     if max_len < 1 or max_len > MAX_SWEEP_LEN:
         raise ValueError(f"--max-len must be in 1..{MAX_SWEEP_LEN}, got {max_len}")
-    out_path.write_text("".join(_sweep_lines(family, max_len)), newline="\n")
+    _write_blocks(out_path, _sweep_blocks(family, max_len))
 
 
-def _sweep_lines(family: str, max_len: int) -> Iterator[str]:
-    """The sweep CSV, one length at a time; a length's words are freed after it."""
+def _sweep_blocks(family: str, max_len: int) -> Iterator[str]:
+    """The sweep CSV, one block of rows per length; a length's words are freed after it."""
     yield "index,word,acceptance,jaro\n"
-    index = 0
     for n in range(1, max_len + 1):
         machine = machines.machine_for_length(family, n)
         words = encoding.words_of_length(n)
         # odd lengths compare against the member one symbol shorter; length 1 has none
         reference = machines.member_word(family, n - n % 2)
         probs = _clamp(machines.acceptances(machine, words))
-        # Jaro in the acceptance chunks, so its match masks stay CHUNK rows tall
-        for lo in range(0, len(words), machines.CHUNK):
-            chunk = words[lo : lo + machines.CHUNK]
-            scores = np.zeros(len(chunk)) if reference is None else metrics.jaro(chunk, reference)
-            texts = zip(chunk, _fmt_each(probs[lo : lo + len(chunk)]), _fmt_each(scores))
-            for index, (word, acceptance, score) in enumerate(texts, index + 1):
-                yield f"{index},{word},{acceptance},{score}\n"
+        scores = np.zeros(len(words)) if reference is None else metrics.jaro(words, reference)
+        texts = zip(words, _fmt_each(probs), _fmt_each(scores))
+        # the 2**n - 2 rows of the shorter lengths come first
+        yield "".join(f"{i},{w},{p},{s}\n" for i, (w, p, s) in enumerate(texts, 2**n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +114,11 @@ def run_qinput(base: str, family: str, eta_points: int, out_path: Path) -> None:
                          f"for a base of {n} symbols")
     if machines.member_word(family, n) != base:
         raise ValueError(f"{base!r} is not the member word of length {n} for {family}")
-    out_path.write_text("".join(_qinput_lines(base, family, eta_points)), newline="\n")
+    _write_blocks(out_path, _qinput_blocks(base, family, eta_points))
 
 
-def _qinput_lines(base: str, family: str, eta_points: int) -> Iterator[str]:
-    """The qinput CSV; its batch arrays are freed before the lines are joined."""
+def _qinput_blocks(base: str, family: str, eta_points: int) -> Iterator[str]:
+    """The qinput CSV, one block of rows per w2, after the whole grid is measured."""
     n = len(base)
     machine = machines.machine_for_length(family, n)
     row = encoding.symbols(machine, [base])
@@ -130,8 +140,7 @@ def _qinput_lines(base: str, family: str, eta_points: int) -> Iterator[str]:
     for w2 in others:
         match_count = sum(1 for x, y in zip(base, w2) if x == y)
         # zip stops at the end of eta_text without taking the next w2's first fidelity
-        for eta, f in zip(eta_text, fidelities):
-            yield f"{w2},{eta},{f},{match_count}\n"
+        yield "".join(f"{w2},{eta},{f},{match_count}\n" for eta, f in zip(eta_text, fidelities))
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,26 @@ means the words are equal, 0 that no character matches.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .walk import WalkState
 
 __all__ = ["jaro", "fidelity"]
 
+BLOCK = 512  # rows per transposition count, bounding its int64 indices and float64 weights
+
 
 def jaro(words: str | list[str], reference: str) -> float | np.ndarray:
     """Jaro score of each word against a non-empty reference string.
 
-    A ``str`` gives a ``float``; a list of non-empty words of one length, a
-    ``(B,)`` float64 array.  Characters match when they are the same code
-    point within ``max(max(n, L) // 2 - 1, 0)`` positions (n, L the word and
-    reference lengths), each reference character taken by at most one match,
-    scanning each word left to right.  Empty strings raise ``ValueError``,
-    and so do words of mixed lengths.
+    A ``str`` gives a ``float``; a list of non-empty words of one length, a ``(B,)``
+    float64 array.  Characters match when they are the same code point within
+    ``max(max(n, L) // 2 - 1, 0)`` positions (n, L the word and reference lengths), each
+    reference character taken by at most one match, scanning each word left to right, once
+    per distinct prefix of the sorted words.  Empty strings raise ``ValueError``, and so do
+    words of mixed lengths.
     """
     if isinstance(words, str):
         return float(jaro([words], reference)[0])
@@ -37,21 +41,33 @@ def jaro(words: str | list[str], reference: str) -> float | np.ndarray:
     codes = np.frombuffer("".join(words).encode("utf-32-le"), dtype="<u4").reshape(rows, n)
     ref = np.frombuffer(reference.encode("utf-32-le"), dtype="<u4")
     near = np.abs(np.arange(n)[:, None] - np.arange(size)) <= max(max(n, size) // 2 - 1, 0)
-    same = (codes[:, :, None] == ref) & near  # (rows, n, size): may word i match reference j
-    free = np.ones((rows, size), dtype=bool)  # reference characters not yet matched
-    hit = np.zeros((rows, n), dtype=bool)  # word characters matched
-    every = np.arange(rows)
+    order = np.lexsort(codes.T[::-1]) if any(map(operator.gt, words, words[1:])) else slice(None)
+    codes = codes[order]  # a view when the words come sorted, as sweep's and verify's do
+    new = np.arange(rows) == 0  # the row starts a prefix of length i + 1
+    group = np.zeros(rows, dtype=np.intp)  # each row's prefix, at first the empty one
+    free = np.ones((1, size), dtype=bool)  # per prefix: reference characters not yet matched
+    hit = np.empty((rows, n), dtype=bool)  # word characters matched
     for i in range(n):
-        candidates = free & same[:, i]
+        new[1:] |= codes[1:, i] != codes[:-1, i]
+        heads = np.flatnonzero(new)
+        free = free[group[heads]]  # a prefix starts from its parent's free row
+        candidates = free & (codes[heads, i, None] == ref) & near[i]
         j = candidates.argmax(axis=1)  # the first free match, or 0 when there is none
-        hit[:, i] = found = candidates[every, j]
-        free[every, j] &= ~found
-    # boolean indexing lists the k-th matches of word and reference side by side
-    swapped = codes[hit] != np.broadcast_to(ref, free.shape)[~free]
-    t = np.bincount(np.nonzero(hit)[0], weights=swapped, minlength=rows) / 2.0
+        found = candidates.any(axis=1)
+        free[found, j[found]] = False
+        group = np.cumsum(new) - 1
+        hit[:, i] = found[group]
+    t = np.empty(rows)
+    for lo in range(0, rows, BLOCK):
+        h, taken = hit[lo : lo + BLOCK], ~free[group[lo : lo + BLOCK]]
+        # boolean indexing lists the k-th matches of word and reference side by side
+        swapped = codes[lo : lo + BLOCK][h] != np.broadcast_to(ref, taken.shape)[taken]
+        t[lo : lo + BLOCK] = np.bincount(np.nonzero(h)[0], weights=swapped, minlength=len(h)) / 2
     s = hit.sum(axis=1, dtype=np.float64)
     # a row without matches has s = t = 0 and scores 0.0; dividing it by 1 keeps it finite
-    return (s / n + s / size + (s - t) / np.maximum(s, 1.0)) / 3.0
+    score = (s / n + s / size + (s - t) / np.maximum(s, 1.0)) / 3.0
+    score[order] = score.copy()  # back to the order of words
+    return score
 
 
 def fidelity(reference: WalkState, amplitudes: np.ndarray) -> np.ndarray:

@@ -98,6 +98,33 @@ def reference_fidelity(reference, amplitudes: np.ndarray) -> np.ndarray:
                      for row in amplitudes])
 
 
+def reference_jaro(words: list[str], reference: str) -> np.ndarray:
+    """Jaro scores of equal-length words, every word scanned at every position.
+
+    An oracle for ``metrics.jaro``: the greedy match runs over all rows at
+    once on a ``(rows, n, L)`` mask, with no prefix shared, and the
+    transposition count and formula are those of ``metrics.jaro``.
+    """
+    rows, n, size = len(words), len(words[0]), len(reference)
+    codes = np.frombuffer("".join(words).encode("utf-32-le"), dtype="<u4").reshape(rows, n)
+    ref = np.frombuffer(reference.encode("utf-32-le"), dtype="<u4")
+    near = np.abs(np.arange(n)[:, None] - np.arange(size)) <= max(max(n, size) // 2 - 1, 0)
+    same = (codes[:, :, None] == ref) & near  # (rows, n, size): may word i match reference j
+    free = np.ones((rows, size), dtype=bool)  # reference characters not yet matched
+    hit = np.zeros((rows, n), dtype=bool)  # word characters matched
+    every = np.arange(rows)
+    for i in range(n):
+        candidates = free & same[:, i]
+        j = candidates.argmax(axis=1)  # the first free match, or 0 when there is none
+        hit[:, i] = found = candidates[every, j]
+        free[every, j] &= ~found
+    # boolean indexing lists the k-th matches of word and reference side by side
+    swapped = codes[hit] != np.broadcast_to(ref, free.shape)[~free]
+    t = np.bincount(np.nonzero(hit)[0], weights=swapped, minlength=rows) / 2.0
+    s = hit.sum(axis=1, dtype=np.float64)
+    return (s / n + s / size + (s - t) / np.maximum(s, 1.0)) / 3.0
+
+
 def reference_load(machine, w1: str, w2: str, eta: complex) -> np.ndarray:
     """Encoded amplitudes by a loop over positions, one Python scalar at a time.
 

@@ -175,6 +175,36 @@ def test_qinput_rejects_a_grid_over_the_row_cap(tmp_path, capsys, monkeypatch):
     assert main(["qinput", "--eta-points", "4", "--out", str(out)]) == 2
 
 
+# a header and the 2 + 4 + ... + 32 words to length 5; two header lines and 15 w2 at 3 etas
+@pytest.mark.parametrize("argv, lines", [
+    (["sweep", "--family", "seq-eq", "--max-len", "5"], 1 + 62),
+    (["qinput", "--base", "aabb", "--eta-points", "3"], 2 + 15 * 3),
+])
+def test_a_failed_run_keeps_the_old_output_and_leaves_no_temporary_file(
+        tmp_path, capsys, monkeypatch, argv, lines):
+    build = cli.machines.machine_for_length
+
+    def fails_from_length_3(family, n):
+        if n >= 3:
+            raise ValueError(f"no machine for length {n}")
+        return build(family, n)
+
+    # sweep fails at n = 3, after writing the header and lengths 1 and 2; qinput at its n = 4
+    monkeypatch.setattr(cli.machines, "machine_for_length", fails_from_length_3)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old,bytes\n")
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "no machine for length" in capsys.readouterr().err
+    assert out.read_bytes() == b"old,bytes\n"
+    assert main([*argv, "--out", str(tmp_path / "new.csv")]) == 2
+    assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+    # a run that succeeds replaces the old bytes, again leaving no other file
+    monkeypatch.undo()
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == lines
+    assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+
+
 def test_qinput_reference_is_the_evolved_member():
     built = [machine_for_length(family, n) for family in FAMILIES for n in (2, 4, 6, 8)]
     for machine in [*built, sequential_word("abba")]:

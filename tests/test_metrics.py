@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,14 @@ from walklang import coins
 from walklang.machines import CHUNK, FAMILIES, final_amplitudes, member_word
 from walklang.walk import Program
 
-from helpers import all_words, basis_state, hadamard_line_coins, line_graph, reference_fidelity
+from helpers import (
+    all_words,
+    basis_state,
+    hadamard_line_coins,
+    line_graph,
+    reference_fidelity,
+    reference_jaro,
+)
 
 words = st.text(alphabet="ab", min_size=1, max_size=10)
 
@@ -122,6 +131,47 @@ def test_jaro_batch_matches_each_row_for_every_sweep_reference(n):
         assert all(type(score) is float for score in one_row)
         assert np.array_equal(bits(batch), bits(one_row))
         assert np.array_equal(bits(batch), bits([brute_force_jaro(w, reference) for w in words]))
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_jaro_of_a_whole_length_equals_the_chunked_oracle(n):
+    # sweep's one call per length against the oracle in sweep's old 64-row chunks;
+    # length 1 has no sweep reference
+    words = encoding.words_of_length(n)
+    for reference in sorted({member_word(f, n - n % 2) for f in FAMILIES}):
+        chunked = np.concatenate([reference_jaro(words[lo : lo + 64], reference)
+                                  for lo in range(0, len(words), 64)])
+        assert jaro(words, reference).tobytes() == chunked.tobytes()
+
+
+# a non-BMP code point takes two UTF-16 units but one UTF-32 code
+ALPHABET = "ab\U0001d11e"
+
+
+@st.composite
+def unsorted_word_lists(draw):
+    n = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.text(ALPHABET, min_size=n, max_size=n), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+
+
+@given(unsorted_word_lists(), st.text(ALPHABET + "c", min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_jaro_of_unsorted_lists_with_duplicates_matches_brute_force(words, reference):
+    expected = [brute_force_jaro(w, reference) for w in words]
+    assert jaro(words, reference).tobytes() == np.array(expected).tobytes()
+
+
+def test_jaro_memory_is_bounded_at_the_longest_sweep_length():
+    # one call scores all 2^16 words; unblocked, the transposition count alone peaked at 53 MB
+    words, reference = encoding.words_of_length(16), member_word("seq-eq", 16)
+    tracemalloc.start()
+    try:
+        jaro(words, reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_jaro_scores_any_code_points():
