@@ -54,6 +54,9 @@ def _fmt_each(values: np.ndarray) -> list[str]:
 
 def _write_blocks(out_path: Path, blocks: Iterable[str]) -> None:
     """Write the blocks to a new file beside ``out_path``, renamed onto it, or removed on error."""
+    if out_path.exists() and not out_path.is_file():  # such as /dev/stdout or a FIFO
+        raise ValueError(f"--out {out_path} exists and is not a regular file")
+    out_path = out_path.resolve()  # a symlink stays, and the file it names is replaced
     part = out_path.with_name(f".{out_path.name}.{os.urandom(4).hex()}.tmp")
     f = open(part, "x", newline="\n")
     try:

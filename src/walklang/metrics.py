@@ -8,8 +8,6 @@ means the words are equal, 0 that no character matches.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .walk import WalkState
@@ -26,8 +24,9 @@ def jaro(words: str | list[str], reference: str) -> float | np.ndarray:
     float64 array.  Characters match when they are the same code point within
     ``max(max(n, L) // 2 - 1, 0)`` positions (n, L the word and reference lengths), each
     reference character taken by at most one match, scanning each word left to right, once
-    per distinct prefix of the sorted words.  Empty strings raise ``ValueError``, and so do
-    words of mixed lengths.
+    per run of neighbouring words with the same prefix, so that sorted words, as sweep's and
+    verify's are, share the most.  Empty strings raise ``ValueError``, and so do words of
+    mixed lengths.
     """
     if isinstance(words, str):
         return float(jaro([words], reference)[0])
@@ -41,8 +40,6 @@ def jaro(words: str | list[str], reference: str) -> float | np.ndarray:
     codes = np.frombuffer("".join(words).encode("utf-32-le"), dtype="<u4").reshape(rows, n)
     ref = np.frombuffer(reference.encode("utf-32-le"), dtype="<u4")
     near = np.abs(np.arange(n)[:, None] - np.arange(size)) <= max(max(n, size) // 2 - 1, 0)
-    order = np.lexsort(codes.T[::-1]) if any(map(operator.gt, words, words[1:])) else slice(None)
-    codes = codes[order]  # a view when the words come sorted, as sweep's and verify's do
     new = np.arange(rows) == 0  # the row starts a prefix of length i + 1
     group = np.zeros(rows, dtype=np.intp)  # each row's prefix, at first the empty one
     free = np.ones((1, size), dtype=bool)  # per prefix: reference characters not yet matched
@@ -66,7 +63,6 @@ def jaro(words: str | list[str], reference: str) -> float | np.ndarray:
     s = hit.sum(axis=1, dtype=np.float64)
     # a row without matches has s = t = 0 and scores 0.0; dividing it by 1 keeps it finite
     score = (s / n + s / size + (s - t) / np.maximum(s, 1.0)) / 3.0
-    score[order] = score.copy()  # back to the order of words
     return score
 
 

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +205,31 @@ def test_a_failed_run_keeps_the_old_output_and_leaves_no_temporary_file(
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_text().count("\n") == lines
     assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_a_symlinked_out_keeps_its_link_and_replaces_the_file_it_names(tmp_path):
+    (tmp_path / "links").mkdir()
+    (tmp_path / "files").mkdir()
+    real, link = tmp_path / "files" / "real.csv", tmp_path / "links" / "link.csv"
+    real.write_bytes(b"old,bytes\n")
+    link.symlink_to(Path("..", "files", "real.csv"))
+    argv = ["sweep", "--family", "seq-eq", "--max-len", "4"]
+    assert main([*argv, "--out", str(link)]) == 0
+    assert main([*argv, "--out", str(tmp_path / "direct.csv")]) == 0
+    assert link.is_symlink() and real.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+    # the temporary file was made beside real.csv, and renamed onto it
+    assert [path.name for path in (tmp_path / "links").iterdir()] == ["link.csv"]
+    assert [path.name for path in (tmp_path / "files").iterdir()] == ["real.csv"]
+
+
+@pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
+def test_an_out_that_is_not_a_regular_file_is_refused(tmp_path, capsys, make):
+    out = tmp_path / "out"
+    make(out)
+    for argv in (["sweep", "--family", "seq-eq", "--max-len", "2"], ["qinput"]):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "is not a regular file" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["out"] and not out.is_file()
 
 
 def test_qinput_reference_is_the_evolved_member():
