@@ -3,7 +3,7 @@
 Every function returns a unitary ``numpy`` array of dtype complex128.
 A coin of dimension d acts on the d port amplitudes of one vertex before
 each shift.  Any block, built here or given by a caller, passes
-:func:`check_unitary` when a ``CoinAssignment`` takes it.
+:func:`unitarity_defect` <= 1e-12 when a ``CoinAssignment`` takes it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 UNITARY_TOL = 1e-12
+PANEL = 64
 
 
 class NonUnitaryError(ValueError):
@@ -40,12 +41,21 @@ class NonUnitaryError(ValueError):
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-norm distance of ``U†U`` from the identity."""
+    """Max ``|U†U - I|`` over a ``(..., d, d)`` stack, formed ``PANEL`` rows at a time.
+
+    ``U†U`` is Hermitian, so rows from ``lo`` start at column ``lo`` (d <= ``PANEL`` is one
+    panel, the whole product); no temporary holds over ``PANEL * d`` entries per block.
+    A NaN or inf entry, met by its conjugate on the diagonal, makes the defect NaN or inf."""
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    d = m.shape[0]
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(d))))
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise ValueError(f"expected a non-empty stack of square matrices, got shape {m.shape}")
+    worst = []
+    for lo in range(0, m.shape[-1], PANEL):
+        rows = m[..., lo:lo + PANEL].conj().swapaxes(-1, -2) @ m[..., lo:]
+        flat = rows.reshape(*rows.shape[:-2], -1)  # a view: the product is C-contiguous
+        flat[..., ::rows.shape[-1] + 1] -= 1.0  # the diagonal (fancy indexing: +128 KB RSS)
+        worst.append(np.max(np.abs(flat)))
+    return float(np.max(worst))  # not max(), under which a NaN panel compares away
 
 
 def check_unitary(matrix: np.ndarray, context: str) -> None:
@@ -99,6 +109,8 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def permutation(perm: Sequence[int]) -> np.ndarray:
     """Permutation coin sending port i to port ``perm[i]``."""
     d = len(perm)
+    if d < 1:
+        raise ValueError("permutation coin needs dimension >= 1, got 0")
     seen = sorted(perm)
     if seen != list(range(d)):
         raise ValueError(f"{list(perm)!r} is not a permutation of 0..{d - 1}")

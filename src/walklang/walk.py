@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coins import check_unitary
+from .coins import UNITARY_TOL, check_unitary, unitarity_defect
 from .graph import PortGraph, _frozen
 
 __all__ = [
@@ -95,10 +95,9 @@ class CoinAssignment:
             block = np.asarray(m, dtype=np.complex128)
             d = degrees[v]
             if block.shape != (d, d):
-                raise ValueError(
-                    f"coin at vertex {v} has shape {block.shape}, degree is {d}"
-                )
-            check_unitary(block, f"coin at vertex {v}")
+                for u, lower in enumerate(blocks):  # a lower non-unitary block is named first
+                    check_unitary(lower, f"coin at vertex {u}")
+                raise ValueError(f"coin at vertex {v} has shape {block.shape}, degree is {d}")
             # a unitary block whose only nonzero entries are d ones is a permutation
             routed[v] = np.count_nonzero(block) == d == np.count_nonzero(block == 1)
             blocks.append(np.ascontiguousarray(block))
@@ -113,6 +112,10 @@ class CoinAssignment:
             # the class's blocks, copied once into immutable bytes
             stack = np.ndarray((*idx.shape, idx.shape[1]), np.complex128,
                                b"".join(blocks[v] for v in vs))
+            if not unitarity_defect(stack) <= UNITARY_TOL:  # name the lowest failing vertex
+                for u, block in enumerate(blocks):  # of any class, not of this one
+                    check_unitary(block, f"coin at vertex {u}")
+                check_unitary(stack, f"stack of degree-{idx.shape[1]} coins")
             # P[i, j] = 1 sends port o + j through port o + i to shift[o + i]
             route[dst[m:]] = np.take_along_axis(idx[m:], stack[m:].real.argmax(axis=2), 1)
             if m:
@@ -337,18 +340,23 @@ def _read_cells(cells: list[str]) -> np.ndarray | None:
     """The ``re,im`` cells as one complex128 vector, or None if one is bad.
 
     A cell is one comma with a ``float`` literal on each side and no newline.
-    The commas and newlines of the joined cells must alternate, then ``float``
-    reads the 2n sides into float64 pairs, viewed as complex so no bit changes.
+    The commas and newlines of the n distinct cells, joined, must alternate; ``float`` reads
+    their 2n sides into float64 pairs viewed as complex, so no bit changes, and copies each back.
     """
-    flat = "\n".join(cells)
+    distinct = dict.fromkeys(cells)
+    flat = "\n".join(distinct)
     marks = flat.encode("utf-8", "surrogatepass").translate(None, _NOT_MARKS)
-    if marks != (b",\n" * len(cells))[:-1]:
+    if marks != (b",\n" * len(distinct))[:-1]:
         return None
     sides = map(float, flat.replace(",", "\n").split("\n"))
     try:
-        return np.fromiter(sides, np.float64, 2 * len(cells)).view(np.complex128)
+        values = np.fromiter(sides, np.float64, 2 * len(distinct)).view(np.complex128)
     except ValueError:
         return None
+    if len(distinct) == len(cells):  # the map back is the identity
+        return values
+    index = dict(zip(distinct, range(len(distinct))))
+    return values[np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))]
 
 
 def _parse_cells(cells: list[str], error: Callable[[int], str]) -> np.ndarray:

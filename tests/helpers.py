@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from walklang import CoinAssignment, PortGraph, WalkState
+from walklang import CoinAssignment, NonUnitaryError, PortGraph, WalkState
 from walklang import coins as coinlib
 
 
@@ -146,6 +146,33 @@ def reference_load(machine, w1: str, w2: str, eta: complex) -> np.ndarray:
             amps[i1] += a1
             amps[i2] += a2
     return amps
+
+
+def reference_unitarity_defect(matrix: np.ndarray) -> float:
+    """``max |U†U - I|`` of one block, formed whole in one product.
+
+    An oracle for ``coins.unitarity_defect``, which forms it in panels of
+    rows over a stack of blocks.
+    """
+    m = np.asarray(matrix, dtype=np.complex128)
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
+def reference_coin_check(graph: PortGraph, matrices) -> None:
+    """The checks of a ``CoinAssignment``, one vertex at a time in vertex order.
+
+    An oracle for the constructor, which checks unitarity once per degree
+    class: each block's shape, then its unitarity, so the lowest vertex
+    failing either check is the one named.
+    """
+    for v, m in enumerate(matrices):
+        block = np.asarray(m, dtype=np.complex128)
+        d = graph.degree(v)
+        if block.shape != (d, d):
+            raise ValueError(f"coin at vertex {v} has shape {block.shape}, degree is {d}")
+        defect = reference_unitarity_defect(block)
+        if not defect <= 1e-12:
+            raise NonUnitaryError(defect, f"coin at vertex {v}")
 
 
 def reference_coin_blocks(graph: PortGraph, text: str) -> list[np.ndarray]:

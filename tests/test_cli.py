@@ -382,7 +382,10 @@ def test_cli_usage_error_exit_code():
     ("v 0 1\n1,0\nv 1 -2\n", "1,0\n0,0\n", "line 3"),
     # rejected at the header, before a 3,000,000 x 3,000,000 block is allocated
     ("v 0 3000000\n", "1,0\n0,0\n", "line 1"),
-], ids=["nan-state", "duplicate-block", "unknown-vertex", "negative-degree", "oversized-degree"])
+    ("v 0 1\nnan,0\nv 1 1\n1,0\n", "1,0\n0,0\n", "coin at vertex 0 is not unitary (defect nan)"),
+    ("v 0 1\n1,0\nv 1 1\ninf,0\n", "1,0\n0,0\n", "coin at vertex 1 is not unitary (defect inf)"),
+], ids=["nan-state", "duplicate-block", "unknown-vertex", "negative-degree", "oversized-degree",
+        "nan-coin", "inf-coin"])
 def test_simulate_rejects_bad_values_and_blocks(tmp_path, capsys, coins_text, state_text, message):
     (tmp_path / "graph.txt").write_text("0 1\n")
     (tmp_path / "coins.txt").write_text(coins_text)

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from walklang import CoinAssignment, NonUnitaryError, PortGraph
 from walklang import coins
+
+from helpers import haar_unitary, reference_unitarity_defect
 
 
 def test_hadamard_entries():
@@ -149,3 +153,58 @@ def test_custom_rejects_nan():
 def test_tensor_rejects_nan_factor():
     with pytest.raises(NonUnitaryError, match="left factor"):
         coins.tensor([[np.nan]], [[1.0]])
+
+
+def test_degree_zero_coins_and_blocks_are_refused():
+    for make, name in ((coins.identity, "identity"), (coins.grover, "Grover"),
+                       (lambda d: coins.permutation(list(range(d))), "permutation")):
+        with pytest.raises(ValueError, match=f"^{name} coin needs dimension >= 1, got 0$"):
+            make(0)
+    for shape in ((0, 0), (3, 0, 0), (0, 2, 2), (2,), (2, 3)):
+        with pytest.raises(ValueError, match=r"^expected a non-empty stack of square matrices"):
+            coins.unitarity_defect(np.zeros(shape))
+
+
+@given(st.integers(1, 140), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-13, 1e-11, 1e-6]))
+@settings(max_examples=40, deadline=None)
+def test_stacked_defect_is_the_worst_per_block_defect(d, k, seed, scale):
+    # one column of one block of a Haar stack is scaled by 1 + scale, which moves
+    # only that column's diagonal entry of U†U: from 1e-11 on the stack fails
+    rng = np.random.default_rng(seed)
+    stack = np.stack([haar_unitary(rng, d) for _ in range(k)])
+    stack[rng.integers(k), :, rng.integers(d)] *= 1.0 + scale
+    each = [coins.unitarity_defect(block) for block in stack]
+    whole = [reference_unitarity_defect(block) for block in stack]
+    assert coins.unitarity_defect(stack) == max(each)
+    passes = [e <= coins.UNITARY_TOL for e in each]
+    assert passes == [w <= coins.UNITARY_TOL for w in whole]
+    assert all(passes) == (scale < 1e-12)
+    if d <= coins.PANEL:  # one panel is the whole product
+        assert each == whole
+
+
+@given(st.integers(1, 140), st.integers(1, 3), st.data(),
+       st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, np.inf)]))
+@settings(max_examples=60, deadline=None)
+def test_one_non_finite_entry_anywhere_rejects_the_stack(d, k, data, bad):
+    stack = np.stack([coins.grover(d)] * k)
+    stack[data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, d - 1)),
+          data.draw(st.integers(0, d - 1))] = bad
+    with np.errstate(invalid="ignore"):  # inf * 0 inside the product
+        defect = coins.unitarity_defect(stack)
+        with pytest.raises(NonUnitaryError):
+            coins.check_unitary(stack, "stack")
+    assert isinstance(defect, float) and not np.isfinite(defect)
+
+
+def test_defect_memory_stays_below_half_the_block():
+    block = coins.grover(512)
+    tracemalloc.start()
+    try:
+        defect = coins.unitarity_defect(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defect < 1e-12
+    assert peak < 0.5 * block.nbytes

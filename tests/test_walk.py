@@ -35,6 +35,7 @@ from helpers import (
     hadamard_line_coins,
     line_graph,
     reference_coin_blocks,
+    reference_coin_check,
     reference_evolve,
     reference_state_from_text,
 )
@@ -60,6 +61,65 @@ def test_coin_assignment_validates_dimensions():
         CoinAssignment(g, [np.eye(2), np.eye(1)])
     with pytest.raises(NonUnitaryError, match="vertex 1"):
         CoinAssignment(g, [np.eye(1), np.array([[2.0]])])
+
+
+def test_the_lowest_failing_vertex_is_named_across_degree_classes():
+    # line_graph(6) has degrees 1 2 2 2 2 1: vertex 5 is in the first class, 3 in a later one
+    g = line_graph(6)
+    blocks = [np.eye(g.degree(v)) for v in g.vertices]
+    blocks[5], blocks[3] = [[2.0]], np.diag([1.0, 1.5])
+    with pytest.raises(NonUnitaryError, match=r"^coin at vertex 3 is not unitary") as err:
+        CoinAssignment(g, blocks)
+    assert err.value.defect == pytest.approx(1.25)
+    # a bad shape at a higher id than a non-unitary block: the non-unitary one is named
+    blocks[5], blocks[3], blocks[2] = np.eye(1), np.eye(2), np.diag([1.0, 1.5])
+    with pytest.raises(NonUnitaryError, match=r"^coin at vertex 2 is not unitary"):
+        CoinAssignment(g, blocks[:4] + [np.eye(3), np.eye(1)])
+    blocks[2] = [[np.nan, 0], [0, 1]]
+    with pytest.raises(NonUnitaryError, match=r"^coin at vertex 2 is not unitary \(defect nan\)"):
+        CoinAssignment(g, blocks[:5] + [np.eye(3)])
+    with pytest.raises(ValueError, match=r"^coin at vertex 1 has shape \(3, 3\), degree is 2$"):
+        CoinAssignment(g, [np.eye(1), np.eye(3)] + blocks[2:])
+
+
+# two or three degree classes each, whose vertices interleave in id order
+mixed_graphs = st.sampled_from([
+    line_graph(6),
+    PortGraph([(0, 1), (0, 2), (0, 3), (2, 4), (4, 5), (2, 6)]),
+    PortGraph([(0, 1), (0, 1), (1, 2), (2, 2), (3, 2), (3, 0), (4, 3)]),
+])
+coin_kind = st.sampled_from(["haar", "haar", "haar", "permutation", "scaled", "nan", "shape"])
+
+
+@given(mixed_graphs, st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_coin_checks_match_the_per_vertex_loop(g, data, seed):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for v in g.vertices:
+        d, kind = g.degree(v), data.draw(coin_kind)
+        block = haar_unitary(rng, d)
+        if kind == "permutation":
+            block = coins.permutation(rng.permutation(d))
+        elif kind == "scaled":
+            block = block * 1.5
+        elif kind == "nan":
+            block[rng.integers(d), rng.integers(d)] = np.nan
+        elif kind == "shape":
+            block = np.eye(d + 1)
+        blocks.append(block)
+    try:
+        reference_coin_check(g, blocks)
+    except ValueError as error:
+        expected = (type(error), str(error))
+    else:
+        expected = [np.asarray(b, dtype=np.complex128).tobytes() for b in blocks]
+    try:
+        cs = CoinAssignment(g, blocks)
+    except ValueError as error:
+        assert (type(error), str(error)) == expected
+    else:
+        assert [m.tobytes() for m in cs.matrices] == expected
 
 
 def test_identity_walk_on_edge_returns_after_two_steps():
@@ -513,6 +573,50 @@ line_break = st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\x85", "\u2028"])
 def test_state_parser_matches_the_per_cell_loop(lines, before, after, end):
     g = single_edge()
     text = "".join(before + line + after + end for line in lines)
+    assert outcome(state_from_text, g, text) == outcome(reference_state_from_text, g, text)
+
+
+# small pools, so that cells repeat within a row, a block and a file: good cells
+# (signed zeros, a digit separator, nan, an overflow) and bad ones
+pooled_good = st.sampled_from(["0.5,0", "-0.5,0", "0.5,-0.0", "0.0,0.0", "-0.0,0.0", "0,-0.0",
+                               "0_0,0", "nan,0", "1e400,0", "\u0661,0"])
+pooled_bad = st.sampled_from(["x", "1,", "0__0,0", "1,2,3"])
+pooled_cell = st.one_of(pooled_good, pooled_good, pooled_bad)
+good_row = st.lists(pooled_good, min_size=4, max_size=4).map(" ".join)
+any_row = st.lists(pooled_cell, min_size=4, max_size=4).map(" ".join)
+pooled_rows = st.one_of(st.lists(good_row, min_size=4, max_size=4),
+                        st.lists(st.one_of(good_row, any_row), min_size=4, max_size=4))
+
+
+@given(pooled_rows, pooled_rows)
+@example(["0.5,0 0.5,0 0.5,0 0.5,0", "0.5,0 -0.5,0 x 0.5,0", "x 1, 0.5,0 x", "0,0 0,0 0,0 0,0"],
+         ["0.5,0 0.5,0 0.5,0 0.5,0"] * 4)
+@example(["0.5,0 0.5,0 0.5,0 0.5,0"] * 4, ["-0.0,0.0 0_0,0 1, 1,"] * 4)
+@settings(max_examples=300, deadline=None)
+def test_coin_parser_reads_repeated_cells_like_the_per_cell_loop(rows0, rows1):
+    g = PortGraph([(0, 1)] * 4)
+    text = "\n".join(["v 0 4", *rows0, "v 1 4", *rows1])
+    assert outcome(_coin_blocks, g, text) == outcome(reference_coin_blocks, g, text)
+
+
+# eight ports: four amplitudes of modulus 1/2 among four zeros, or any pooled lines
+pooled_half = st.sampled_from(["0.5,0", "-0.5,-0.0", "0,0.5", "0.5,-0.0"])
+pooled_zero = st.sampled_from(["0,0", "0.0,0.0", "-0.0,0.0", "0.0,-0.0", "0_0,-0", "\u0660,0"])
+pooled_state = st.one_of(
+    st.tuples(st.lists(pooled_half, min_size=4, max_size=4),
+              st.lists(pooled_zero, min_size=4, max_size=4)).flatmap(
+        lambda p: st.permutations(p[0] + p[1])),
+    st.lists(st.one_of(pooled_half, pooled_zero, pooled_cell), min_size=7, max_size=9),
+)
+
+
+@given(pooled_state)
+@example(["0.5,0", "x", "0,0", "x", "0.5,0", "1,", "0,0", "0.5,0"])
+@example(["0.5,0"] * 4 + ["-0.0,0.0"] * 4)
+@settings(max_examples=300, deadline=None)
+def test_state_parser_reads_repeated_cells_like_the_per_cell_loop(lines):
+    g = line_graph(5)
+    text = "".join(line + "\n" for line in lines)
     assert outcome(state_from_text, g, text) == outcome(reference_state_from_text, g, text)
 
 
