@@ -30,6 +30,7 @@ from .graph import PortGraph
 from .walk import (
     CoinAssignment,
     WalkState,
+    _format_each,
     all_vertex_probabilities,
     dense_step_matrix,
     evolve,
@@ -46,10 +47,8 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_each(values: np.ndarray) -> list[str]:
-    """:func:`_fmt` of every float64, formatting each distinct bit pattern once (-0.0 is "-0")."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = [_fmt(x) for x in bits.view(np.float64).tolist()]
-    return [text[k] for k in inverse.tolist()]
+    """:func:`_fmt` of every float64, each distinct bit pattern once (-0.0 is "-0")."""
+    return _format_each(values, _fmt).tolist()
 
 
 def _write_blocks(out_path: Path, blocks: Iterable[str]) -> None:

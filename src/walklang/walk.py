@@ -38,6 +38,7 @@ __all__ = [
 # Loose guard against grossly broken states; exact 1e-12 bounds are
 # asserted by the test suite where required.
 NORM_GUARD = 1e-9
+TEXT_PANEL = 1 << 12  # cells formatted at a time by _cells_text
 
 
 class WalkState:
@@ -89,33 +90,33 @@ class CoinAssignment:
             raise ValueError(
                 f"{len(matrices)} coin blocks for {graph.num_vertices} vertices"
             )
-        degrees = graph.degrees()
-        blocks, routed = [], np.zeros(graph.num_vertices, dtype=bool)
-        for v, m in enumerate(matrices):
+        blocks = []
+        for v, (m, d) in enumerate(zip(matrices, graph.degrees())):
             block = np.asarray(m, dtype=np.complex128)
-            d = degrees[v]
             if block.shape != (d, d):
                 for u, lower in enumerate(blocks):  # a lower non-unitary block is named first
                     check_unitary(lower, f"coin at vertex {u}")
                 raise ValueError(f"coin at vertex {v} has shape {block.shape}, degree is {d}")
-            # a unitary block whose only nonzero entries are d ones is a permutation
-            routed[v] = np.count_nonzero(block) == d == np.count_nonzero(block == 1)
             blocks.append(np.ascontiguousarray(block))
         # the shift is self-inverse, so a mixing vertex's ports read through it alone
         route = np.array(graph.shift_permutation())
         views, kernel = {}, []
         for vs, idx in graph.degree_classes():
-            order = np.argsort(routed[vs], kind="stable")
-            m = len(vs) - int(np.count_nonzero(routed[vs]))
-            vs, idx = vs[order].tolist(), idx[order]
-            dst = graph.shift_permutation()[idx]
-            # the class's blocks, copied once into immutable bytes
-            stack = np.ndarray((*idx.shape, idx.shape[1]), np.complex128,
-                               b"".join(blocks[v] for v in vs))
+            d = idx.shape[1]
+            # the class's blocks in immutable bytes, copied again below only to reorder them
+            stack = np.ndarray((*idx.shape, d), np.complex128,
+                               b"".join(blocks[v] for v in vs.tolist()))
             if not unitarity_defect(stack) <= UNITARY_TOL:  # name the lowest failing vertex
                 for u, block in enumerate(blocks):  # of any class, not of this one
                     check_unitary(block, f"coin at vertex {u}")
-                check_unitary(stack, f"stack of degree-{idx.shape[1]} coins")
+                check_unitary(stack, f"stack of degree-{d} coins")
+            # a unitary block whose only nonzero entries are d ones is a permutation
+            routed = (np.count_nonzero(stack, axis=(1, 2)) == d) & ((stack == 1).sum((1, 2)) == d)
+            m = len(vs) - int(np.count_nonzero(routed))
+            order = np.argsort(routed, kind="stable")  # the mixing blocks first
+            stack = _frozen(stack[order]) if routed[:m].any() else stack
+            vs, idx = vs[order].tolist(), idx[order]
+            dst = graph.shift_permutation()[idx]
             # P[i, j] = 1 sends port o + j through port o + i to shift[o + i]
             route[dst[m:]] = np.take_along_axis(idx[m:], stack[m:].real.argmax(axis=2), 1)
             if m:
@@ -130,21 +131,21 @@ class CoinAssignment:
     def by_degree(
         cls, graph: PortGraph, factory: Callable[[int], np.ndarray]
     ) -> "CoinAssignment":
-        """Assign ``factory(degree(v))`` to every vertex."""
-        return cls(graph, [factory(graph.degree(v)) for v in graph.vertices])
+        """Assign ``factory(d)`` to every vertex of degree d, calling ``factory`` once per
+        distinct degree, in order of first appearance; vertices of one degree share a block."""
+        made = {d: factory(d) for d in dict.fromkeys(graph.degrees())}
+        return cls(graph, [made[d] for d in graph.degrees()])
 
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
-        """Per-vertex blocks in vertex order, rows of ``re,im`` pairs."""
-        out = []
-        for v, m in enumerate(self.matrices):
-            out.append(f"v {v} {m.shape[0]}\n")
-            for row in m:
-                out.append(
-                    " ".join(f"{float(x.real)!r},{float(x.imag)!r}" for x in row) + "\n"
-                )
-        return "".join(out)
+        """Per-vertex blocks in vertex order, rows of ``re,im`` pairs, by :func:`_cells_text`."""
+        cells = np.frombuffer(b"".join(self._matrices), np.complex128)
+        d = np.array(self._graph.degrees())
+        ends = np.zeros(len(cells), dtype=bool)
+        ends[np.cumsum(np.repeat(d, d)) - 1] = True
+        heads = np.array([f"v {v} {k}\n" for v, k in enumerate(d.tolist())], dtype=object)
+        return _cells_text(cells, ends, np.cumsum(d * d) - d * d, heads)
 
     @classmethod
     def from_text(cls, graph: PortGraph, text: str) -> "CoinAssignment":
@@ -312,9 +313,33 @@ def dense_step_matrix(coins: CoinAssignment, max_ports: int = 64) -> np.ndarray:
 
 def state_to_text(state: WalkState) -> str:
     """One ``re,im`` line per (vertex, port) basis state, in flat order."""
-    return "".join(
-        f"{float(a.real)!r},{float(a.imag)!r}\n" for a in state.amplitudes
-    )
+    amps = state.amplitudes
+    return _cells_text(amps, np.ones(len(amps), bool), np.empty(0, np.intp), np.empty(0, object))
+
+
+def _format_each(values: np.ndarray, fmt: Callable[[float], str]) -> np.ndarray:
+    """``fmt`` of each float64, as an object array, formatting each distinct int64 bit pattern
+    (-0.0 apart from 0.0, each NaN its own) once: ``np.unique``'s inverse is an argsort."""
+    bits, inverse = np.unique(np.asarray(values, np.float64).view(np.int64), return_inverse=True)
+    return np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)[inverse]
+
+
+def _cells_text(cells: np.ndarray, ends: np.ndarray, starts: np.ndarray, heads: np.ndarray) -> str:
+    """``re,im`` per complex cell, then a newline where ``ends`` holds, else a space, with
+    ``heads[j]`` before cell ``starts[j]`` (ascending).  Parts are formatted ``TEXT_PANEL``
+    cells at a time, so an all-distinct coin never holds the texts of all its cells."""
+    parts = cells.view(np.float64).reshape(-1, 2)
+    out = []
+    for lo in range(0, len(parts), TEXT_PANEL):
+        panel = parts[lo:lo + TEXT_PANEL]
+        texts = np.empty((len(panel), 4), dtype=object)
+        texts[:, 0::2] = _format_each(panel, repr).reshape(-1, 2)
+        texts[:, 1], texts[:, 3] = ",", " "
+        texts[ends[lo:lo + TEXT_PANEL], 3] = "\n"
+        j = slice(*np.searchsorted(starts, (lo, lo + TEXT_PANEL)))
+        texts[starts[j] - lo, 0] = heads[j] + texts[starts[j] - lo, 0]
+        out.append("".join(texts.ravel().tolist()))
+    return "".join(out)
 
 
 def state_from_text(graph: PortGraph, text: str) -> WalkState:

@@ -229,6 +229,25 @@ def reference_coin_blocks(graph: PortGraph, text: str) -> list[np.ndarray]:
     return [matrices[v] for v in graph.vertices]
 
 
+def reference_coin_text(coins: CoinAssignment) -> str:
+    """A coin file written one entry at a time.
+
+    An oracle for ``CoinAssignment.to_text``: each entry is two ``float``
+    conversions and two ``repr`` calls, each row one ``join``.
+    """
+    out = []
+    for v, m in enumerate(coins.matrices):
+        out.append(f"v {v} {m.shape[0]}\n")
+        for row in m:
+            out.append(" ".join(f"{float(x.real)!r},{float(x.imag)!r}" for x in row) + "\n")
+    return "".join(out)
+
+
+def reference_state_text(state: WalkState) -> str:
+    """A state file written one amplitude at a time; an oracle for ``walk.state_to_text``."""
+    return "".join(f"{float(a.real)!r},{float(a.imag)!r}\n" for a in state.amplitudes)
+
+
 def reference_state_from_text(graph: PortGraph, text: str) -> WalkState:
     """A state file read one line at a time, each cell on its own.
 

@@ -483,3 +483,7 @@ def test_fmt_each_formats_by_bits():
     assert _fmt_each(np.array([0.0, -0.0, 0.1, 0.0])) == ["0", "-0", "0.1", "0"]
     assert _fmt_each(np.array([1 / 3, 0.5, 1 / 3])) == [cli._fmt(1 / 3), "0.5", cli._fmt(1 / 3)]
     assert _fmt_each(np.empty(0)) == []
+    # each value as the per-entry _fmt writes it, -0.0, NaN bits and infinities included
+    special = np.append([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e308, 1 / 3],
+                        np.array([0x7FF8_0000_0000_0001], np.int64).view(np.float64))
+    assert _fmt_each(np.tile(special, 3)) == [cli._fmt(x) for x in np.tile(special, 3).tolist()]

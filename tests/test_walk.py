@@ -36,8 +36,10 @@ from helpers import (
     line_graph,
     reference_coin_blocks,
     reference_coin_check,
+    reference_coin_text,
     reference_evolve,
     reference_state_from_text,
+    reference_state_text,
 )
 
 
@@ -647,6 +649,66 @@ def test_state_file_round_trips_random_states_to_the_bit(n, seed):
     s = WalkState(g, amps / np.linalg.norm(amps))
     back = state_from_text(g, state_to_text(s))
     assert back.amplitudes.tobytes() == s.amplitudes.tobytes()
+
+
+# bits the writers must keep apart or spell out: signed zeros, NaNs of either sign and
+# one with a payload, infinities, the smallest subnormal, huge and inexact values
+SPECIAL = np.append([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e308, 1 / 3],
+                    np.array([0x7FF8_0000_0000_0001], np.int64).view(np.float64))
+
+
+def _cells(re, im) -> np.ndarray:
+    """Complex values with exactly the bits of ``re`` and ``im``: no arithmetic joins them."""
+    return np.stack(np.broadcast_arrays(re, im), axis=-1).copy().view(np.complex128)[..., 0]
+
+
+def _unchecked_coins(graph: PortGraph, blocks) -> CoinAssignment:
+    """An assignment holding ``blocks`` as given: the writer meets bits no unitary has."""
+    cs = object.__new__(CoinAssignment)
+    cs._graph, cs._matrices = graph, tuple(blocks)
+    return cs
+
+
+def test_writers_match_the_per_entry_oracles_on_special_bits():
+    d = len(SPECIAL)
+    g = PortGraph([(0, v) for v in range(1, d + 1)])
+    hub = _cells(SPECIAL[:, None], SPECIAL[None, :])  # every pair, each value in either part
+    leaves = [_cells(x, y).reshape(1, 1) for x, y in zip(SPECIAL, SPECIAL[::-1])]
+    cs = _unchecked_coins(g, [hub, *leaves])
+    assert cs.to_text() == reference_coin_text(cs)
+    state = WalkState(g, _cells(np.tile(SPECIAL, 2), np.repeat(SPECIAL, 2)), _checked=True)
+    assert state_to_text(state) == reference_state_text(state)
+
+
+@pytest.mark.parametrize("kind", ["grover", "haar"])
+def test_writers_match_the_per_entry_oracles_across_panels(kind):
+    # a hub of degree d and d leaves: the hub's rows span many panels, the leaves' headers one
+    d = 1000 if kind == "grover" else 300
+    g = PortGraph([(0, v) for v in range(1, d + 1)])
+    rng = np.random.default_rng(d)
+    hub = coins.grover(d) if kind == "grover" else haar_unitary(rng, d)
+    cs = CoinAssignment(g, [hub] + [np.exp(1j * rng.normal(size=(1, 1))) for _ in range(d)])
+    assert cs.to_text() == reference_coin_text(cs)
+    line = line_graph(3 * d)
+    amps = rng.normal(size=line.num_ports) + 1j * rng.normal(size=line.num_ports)
+    amps.imag[::3] = -0.0
+    state = WalkState(line, amps / np.linalg.norm(amps))
+    assert state_to_text(state) == reference_state_text(state)
+
+
+def test_by_degree_calls_the_factory_once_per_degree_in_first_seen_order():
+    g = spatial_eq(3).graph
+    calls = []
+
+    def grover(d):
+        calls.append(d)
+        return coins.grover(d)
+
+    cs = CoinAssignment.by_degree(g, grover)
+    assert calls == sorted(set(g.degrees()), key=g.degrees().index)
+    assert len(calls) < g.num_vertices
+    per_vertex = CoinAssignment(g, [coins.grover(g.degree(v)) for v in g.vertices])
+    assert [m.tobytes() for m in cs.matrices] == [m.tobytes() for m in per_vertex.matrices]
 
 
 def test_program_checks_its_arguments():
