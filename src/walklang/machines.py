@@ -136,16 +136,9 @@ class Machine:
                 )
 
     @cached_property
-    def _accepting_walk(self) -> Program:
-        """The schedule compiled, once, from the input slots to the accepting ports."""
-        graph = self.graph
-        ports = [graph.offset(v) + c for v in self.accepting for c in range(graph.degree(v))]
-        return Program(self.coins, self.steps, np.ravel(self.slot_indices), ports)
-
-    @cached_property
     def _final_walk(self) -> Program:
-        every = np.arange(self.graph.num_ports)
-        return Program(self.coins, self.steps, np.ravel(self.slot_indices), every)
+        """The schedule compiled, once, from the input slots: sweep and qinput both run it."""
+        return Program(self.coins, self.steps, np.ravel(self.slot_indices))
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +442,30 @@ def word_acceptance(machine: Machine, word: str) -> float:
 CHUNK = 64
 
 
-def final_amplitudes(machine: Machine, first, second, eta, program=None) -> Iterator[np.ndarray]:
+def final_amplitudes(machine: Machine, first, second, eta) -> Iterator[np.ndarray]:
     """Encode the rows of :func:`encoding.encode_chunks` and run them, ``CHUNK`` at a time.
 
     The grid is checked whole before the first chunk.  Yields, for each
-    chunk in order, the C-contiguous ``(rows, ports)`` amplitudes that
-    ``program`` measures, by default every port after ``machine.steps``.
+    chunk in order, the C-contiguous ``(rows, ports)`` amplitudes of every
+    port after ``machine.steps``, from the machine's one program.
     """
-    program = program or machine._final_walk
     for amps in encoding.encode_chunks(machine, first, second, eta, CHUNK):
-        yield program(amps)
+        yield machine._final_walk(amps)
 
 
 def acceptances(machine: Machine, words: Sequence[str]) -> np.ndarray:
     """:func:`word_acceptance` of every word, in order, bit for bit.
 
-    Each accepting vertex is measured on every row, and the rows are summed
-    from 0 in ``accepting`` order, as :func:`word_acceptance` does.
+    The rows run through :func:`final_amplitudes`, the program qinput runs.
+    Each accepting vertex is measured on every row through its port range,
+    and the rows are summed from 0 in ``accepting`` order, as
+    :func:`word_acceptance` does.
     """
-    rows = encoding.symbols(machine, words)
-    bounds = np.cumsum([0, *(machine.graph.degree(v) for v in machine.accepting)])
-    finals = final_amplitudes(machine, rows, rows, np.ones(len(rows)), machine._accepting_walk)
-    return np.concatenate([sum((vertex_masses(final[:, a:b]) for a, b in
-                                itertools.pairwise(bounds)), np.zeros(len(final)))
-                           for final in finals])
+    graph, rows = machine.graph, encoding.symbols(machine, words)
+    ranges = [(graph.offset(v), graph.offset(v) + graph.degree(v)) for v in machine.accepting]
+    finals = final_amplitudes(machine, rows, rows, np.ones(len(rows)))
+    return np.concatenate([sum((vertex_masses(final[:, a:b]) for a, b in ranges),
+                               np.zeros(len(final))) for final in finals])
 
 
 def check_cut(cutpoint: float, margin: float) -> None:

@@ -6,8 +6,8 @@ the order fixed by the graph.  One step applies the per-vertex coin
 blocks and then the shift permutation; ``T`` steps of a walk starting
 from ``psi`` are ``evolve(psi, coins, T)``, the one-row call of a
 :class:`Program`, which steps a ``(B, P)`` array of amplitude rows at once:
-the steps compiled once into gemvs over the light cone from the input to
-the measured ports, permutation moves as renames.
+the steps compiled once into gemvs over the forward light cone of the input
+ports, permutation moves as renames.
 
 Everything here is pure: state amplitudes and coin blocks are arrays over
 immutable buffers and each operation returns a new state, so walks over a
@@ -77,8 +77,8 @@ class CoinAssignment:
     shift only move its ports' amplitudes: the permutation ``route`` gives,
     for every port, the port it reads from in one step (through the shift
     alone at a mixing vertex).  Each stack holds its mixing blocks first; a
-    :class:`Program` multiplies only those, through the flat indices ``idx``
-    of their ports and ``dst``, where the shift sends each of them.
+    :class:`Program` multiplies only those, through the kernel's
+    ``(idx, stack)`` entries: the flat indices of their ports and their blocks.
     """
 
     __slots__ = ("_graph", "_matrices", "_route", "_kernel")
@@ -116,11 +116,11 @@ class CoinAssignment:
             order = np.argsort(routed, kind="stable")  # the mixing blocks first
             stack = _frozen(stack[order]) if routed[:m].any() else stack
             vs, idx = vs[order].tolist(), idx[order]
-            dst = graph.shift_permutation()[idx]
+            dst = graph.shift_permutation()[idx[m:]]
             # P[i, j] = 1 sends port o + j through port o + i to shift[o + i]
-            route[dst[m:]] = np.take_along_axis(idx[m:], stack[m:].real.argmax(axis=2), 1)
+            route[dst] = np.take_along_axis(idx[m:], stack[m:].real.argmax(axis=2), 1)
             if m:
-                kernel.append((_frozen(idx[:m]), _frozen(dst[:m]), stack[:m]))
+                kernel.append((_frozen(idx[:m]), stack[:m]))
             views.update(zip(vs, stack))
         self._graph = graph
         self._matrices = tuple(views[v] for v in graph.vertices)
@@ -178,60 +178,46 @@ def step(state: WalkState, coins: CoinAssignment) -> WalkState:
 def evolve(state: WalkState, coins: CoinAssignment, steps: int) -> WalkState:
     """Apply ``steps`` full SC steps; ``steps = 0`` returns an equal state.
 
-    The one-row call of the :class:`Program` that inputs and measures every
-    port, so every mixing vertex is multiplied at every step.
+    The one-row call of the :class:`Program` that inputs every port, so
+    every mixing vertex is multiplied at every step.
     """
     graph = state.graph
     if coins.graph is not graph and coins.graph != graph:
         raise ValueError("coin assignment was built for a different graph")
     every = np.arange(graph.num_ports)
-    amps = Program(coins, steps, every, every)(state.amplitudes[None])[0]
+    amps = Program(coins, steps, every)(state.amplitudes[None])[0]
     return WalkState(graph, amps, _checked=True)
 
 
 class Program:
-    """``steps`` SC steps compiled into gemvs over the walk's light cone.
+    """``steps`` SC steps compiled into gemvs over the forward light cone of ``inputs``.
 
     Called on ``(B, P)`` rows, it reads their ports ``inputs``, takes every
-    other port as zero, and returns the C-contiguous amplitudes of the ports
-    ``measured``, in that order.  Each port's amplitude lives in a register,
-    a column of a ``(B, P)`` workspace, and a permutation move renames them
-    here, once.  A mixing vertex is one ``(d, d) @ (d,)`` gemv per row,
-    written back into its registers, at each step where the inputs reach
-    one of its ports and its outputs reach a measured port.  A port outside
-    that cone may hold ``+0.0`` where a step-by-step walk holds ``-0.0``
-    (equal under ``np.array_equal``).  Once the inputs reach every port and
-    every port reaches a measured one, the steps left are one stored step,
-    repeated: every mixing gemv on registers laid out by port, then one
-    gather for the moves.  So a program's size does not grow with ``steps``.
+    other port as zero, and returns the C-contiguous amplitudes of every
+    port.  Each port's amplitude lives in a register, a column of a
+    ``(B, P)`` workspace, and a permutation move renames them here, once.
+    A mixing vertex is one ``(d, d) @ (d,)`` gemv per row, written back
+    into its registers, at each step where the inputs reach one of its
+    ports.  A port outside that cone may hold ``+0.0`` where a step-by-step
+    walk holds ``-0.0`` (equal under ``np.array_equal``).  Once the inputs
+    reach every port, the steps left are one stored step, repeated: every
+    mixing gemv on registers laid out by port, then one gather for the
+    moves.  So a program's size does not grow with ``steps``.
     """
 
-    __slots__ = ("_ports", "_inputs", "_events", "_layout", "_loops", "_steady", "_outputs")
+    __slots__ = ("_ports", "_inputs", "_events", "_layout", "_loops", "_steady")
 
-    def __init__(self, coins: CoinAssignment, steps: int, inputs, measured):
+    def __init__(self, coins: CoinAssignment, steps: int, inputs):
         _check_steps(steps)
         route, kernel, ports = coins._route, coins._kernel, coins.graph.num_ports
-        # needs[k]: the ports whose amplitude k steps before the end reaches a
-        # measured port; once that is every port, it is at every earlier time
-        need = np.zeros(ports, dtype=bool)
-        need[measured] = True
-        needs = [need]
-        while len(needs) <= steps and not need.all():
-            need = np.empty(ports, dtype=bool)
-            need[route] = needs[-1]
-            for idx, dst, _ in kernel:
-                need[idx] = needs[-1][dst].any(axis=1, keepdims=True)
-            needs.append(need)
-        everywhere = need if need.all() else None
         reg, reach, events, loops = np.arange(ports), np.zeros(ports, dtype=bool), [], 0
         reach[inputs] = True
         for t in range(steps):
-            after = needs[min(steps - t - 1, len(needs) - 1)]
-            if after is everywhere and reach.all():  # and so at every later step
+            if reach.all():  # and so at every later step
                 loops = steps - t
                 break
-            for idx, dst, stack in kernel:
-                keep = (reach[idx].any(axis=1) & after[dst].any(axis=1)).nonzero()[0]
+            for idx, stack in kernel:
+                keep = reach[idx].any(axis=1).nonzero()[0]
                 if len(keep):
                     # a run of blocks is a view: a coin alone in its class is never copied
                     run = len(keep) == keep[-1] + 1 - keep[0]
@@ -240,10 +226,9 @@ class Program:
                     reach[idx[keep]] = True
             reg, reach = reg[route], reach[route]
         self._ports, self._inputs, self._events = ports, np.asarray(inputs), tuple(events)
-        # the steady step: registers laid out by port (port p in column p), then repeated
+        # the registers laid out by port (port p in column p), then the steady step repeated
         self._layout, self._loops = reg, loops
         self._steady = kernel, route
-        self._outputs = np.asarray(measured) if loops else reg[measured]
 
     def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
         amps = np.asarray(amplitudes, dtype=np.complex128)
@@ -253,14 +238,13 @@ class Program:
         work[:, self._inputs] = amps[:, self._inputs]
         for regs, blocks in self._events:
             work[:, regs] = (blocks @ work.take(regs, axis=1)[..., None])[..., 0]
-        if self._loops:
-            kernel, route = self._steady
-            work = work.take(self._layout, axis=1)
-            for _ in range(self._loops):
-                for idx, _, stack in kernel:
-                    work[:, idx] = (stack @ work.take(idx, axis=1)[..., None])[..., 0]
-                work = work.take(route, axis=1)
-        return np.take(work, self._outputs, axis=1)
+        work = work.take(self._layout, axis=1)
+        kernel, route = self._steady
+        for _ in range(self._loops):
+            for idx, stack in kernel:
+                work[:, idx] = (stack @ work.take(idx, axis=1)[..., None])[..., 0]
+            work = work.take(route, axis=1)
+        return work
 
 
 def vertex_probability(state: WalkState, v: int) -> float:

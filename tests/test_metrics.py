@@ -263,7 +263,7 @@ def test_fidelity_matches_the_per_row_oracle_on_batch_rows():
     eta = np.tile(np.linspace(0.0, 1.0, 11), len(others))
     amps = encoding.encode(machine, first, second, eta)
     every = np.arange(machine.graph.num_ports)
-    final = Program(machine.coins, machine.steps, every, every)(amps)
+    final = Program(machine.coins, machine.steps, every)(amps)
     assert final.flags.c_contiguous
     # the same rows, strided
     final = np.asfortranarray(final)

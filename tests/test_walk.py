@@ -269,7 +269,7 @@ def test_evolve_routes_permutation_coins_bit_for_bit(case):
     blocks = [permutation_coin(rng, g.degree(v), k) for v, k in enumerate(kinds)]
     cs = CoinAssignment(g, blocks)
     assert all(np.array_equal(cs.matrices[v], b) for v, b in enumerate(blocks))
-    multiplied = sum(len(idx) for idx, _, _ in cs._kernel)
+    multiplied = sum(len(idx) for idx, _ in cs._kernel)
     assert multiplied == np.count_nonzero(kinds != 0)
     amps = rng.normal(size=g.num_ports) + 1j * rng.normal(size=g.num_ports)
     s = WalkState(g, amps / np.linalg.norm(amps))
@@ -287,11 +287,9 @@ def test_a_long_program_keeps_one_register_per_port():
     machine = sequential_ab(4)
     cs, ports = machine.coins, machine.graph.num_ports
     every, slots = np.arange(ports), np.ravel(machine.slot_indices)
-    accept = [machine.graph.state_index(v, c) for v in machine.accepting
-              for c in range(machine.graph.degree(v))]
     state = initial_state(machine, "abba")
-    for inputs, measured in ((every, every), (slots, accept)):
-        program = Program(cs, 10_000, inputs, measured)
+    for inputs in (every, slots):
+        program = Program(cs, 10_000, inputs)
         # the mixer runs at nearly every step: in the repeated steady step once
         # the inputs reach every port, else in one event per step
         assert program._loops + len(program._events) >= 9_000
@@ -299,15 +297,14 @@ def test_a_long_program_keeps_one_register_per_port():
         # the workspace has one register per port, so it is at most P + 1 wide
         assert 0 <= used.min() and used.max() < ports
         assert sorted(program._layout.tolist()) == every.tolist()
-        assert 0 <= program._outputs.min() and program._outputs.max() < ports
         final = program(state.amplitudes[None])
-        assert final.shape == (1, len(measured))
-        assert np.array_equal(final[0], reference_evolve(state, cs, 10_000)[measured])
-    # every port input and measured: all steps are the steady one, read out by port
-    program = Program(cs, 10_000, every, every)
+        assert final.shape == (1, ports)
+        assert np.array_equal(final[0], reference_evolve(state, cs, 10_000))
+    # every port input: all steps are the steady one, on registers laid out by port
+    program = Program(cs, 10_000, every)
     assert program._loops == 10_000 and program._events == ()
     assert program._steady[0] is cs._kernel  # every mixing class
-    assert program._outputs.tolist() == every.tolist()
+    assert program._layout.tolist() == every.tolist()
 
 
 def test_a_program_enters_its_steady_step_part_way():
@@ -315,7 +312,7 @@ def test_a_program_enters_its_steady_step_part_way():
     g = PortGraph([(v, (v + 1) % 5) for v in range(5)])
     cs = CoinAssignment.by_degree(g, lambda d: coins.hadamard())
     every, state = np.arange(g.num_ports), basis_state(g, 0, 0)
-    program = Program(cs, 40, [g.state_index(0, 0)], every)
+    program = Program(cs, 40, [g.state_index(0, 0)])
     assert program._events and 0 < program._loops < 40
     assert program._layout.tolist() != every.tolist()
     assert np.array_equal(program(state.amplitudes[None])[0], reference_evolve(state, cs, 40))
@@ -324,18 +321,18 @@ def test_a_program_enters_its_steady_step_part_way():
 def test_a_program_does_not_grow_with_its_steps():
     machine = sequential_ab(4)
     every = np.arange(machine.graph.num_ports)
-    Program(machine.coins, 10, every, every)
+    Program(machine.coins, 10, every)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        Program(machine.coins, 10**6, every, every)
+        Program(machine.coins, 10**6, every)
         best = min(best, time.perf_counter() - start)
     assert best < 0.010
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 5 * 1024
     tracemalloc.start()
     try:
-        program = Program(machine.coins, 10**6, every, every)
+        program = Program(machine.coins, 10**6, every)
         assert tracemalloc.get_traced_memory()[1] < 5 * 2**20
     finally:
         tracemalloc.stop()
@@ -718,12 +715,12 @@ def test_program_checks_its_arguments():
     every = np.arange(g.num_ports)
     for steps in (-1, True, 2.5):
         with pytest.raises(ValueError, match=f"non-negative int, got {steps!r}"):
-            Program(cs, steps, every, every)
+            Program(cs, steps, every)
     for bad in (amps[0], amps[:, :-1]):
         with pytest.raises(ValueError, match=f"graph has {g.num_ports} ports"):
-            Program(cs, 1, every, every)(bad)
-    assert np.array_equal(Program(cs, 0, every, every)(amps), amps)
-    for k, row in enumerate(Program(cs, 5, every, every)(amps)):
+            Program(cs, 1, every)(bad)
+    assert np.array_equal(Program(cs, 0, every)(amps), amps)
+    for k, row in enumerate(Program(cs, 5, every)(amps)):
         state = WalkState(g, amps[k])
         assert np.array_equal(row, evolve(state, cs, 5).amplitudes)
         assert np.array_equal(row, reference_evolve(state, cs, 5))

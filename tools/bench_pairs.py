@@ -18,7 +18,11 @@ Every process runs BLAS on one thread.
 
 ``COMPILE_TIMES`` is specific to the light-cone programs of
 ``walk.Program``: it times the compile of each program the workloads
-build, and a checkout without ``walk.Program`` records none.
+build, and a checkout without ``walk.Program`` records none.  A sweep
+times the machine's program: ``Machine._accepting_walk`` in a checkout
+that compiles one for the accepting ports, ``Machine._final_walk``
+otherwise; ``measured`` goes only to a ``Program`` that takes it.
+``--seeds`` must name at least two seeds, since the summary takes quartiles.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ VERIFY_RUNS = 10
 
 # run in a checkout: the median compile time, in ms, of each program a workload builds
 COMPILE_TIMES = r"""
-import json, statistics, time
+import inspect, json, statistics, time
 import numpy as np
 from walklang import machines, walk
 
@@ -56,23 +60,24 @@ def ms(make, reps=15):
 out = {}
 if hasattr(walk, "Program"):
     Machine = machines.Machine
+    sweep = getattr(Machine, "_accepting_walk", Machine._final_walk).func
+    measured = "measured" in inspect.signature(walk.Program).parameters
+
+    def every_port(coins, steps):
+        every = np.arange(coins.graph.num_ports)
+        return lambda: walk.Program(coins, steps, every, *[every] * measured)
+
     for n in range(1, 13):
         m = machines.machine_for_length("seq-eq", n)
-        out[f"sweep-seq: seq-eq n={n}, accepting ports, {m.steps} steps"] = ms(
-            lambda: Machine._accepting_walk.func(m))
+        out[f"sweep-seq: seq-eq n={n}, machine program, {m.steps} steps"] = ms(
+            lambda: sweep(m))
     m = machines.machine_for_length("spatial-eq", 8)
     out["qinput: spatial-eq n=8, every port"] = ms(lambda: Machine._final_walk.func(m))
-    every = np.arange(m.graph.num_ports)
-    out["qinput: spatial-eq n=8, reference evolve"] = ms(
-        lambda: walk.Program(m.coins, m.steps, every, every))
+    out["qinput: spatial-eq n=8, reference evolve"] = ms(every_port(m.coins, m.steps))
     m = machines.sequential_ab(4)
-    every = np.arange(m.graph.num_ports)
-    out["verify: seq-ab n=4, every port, 10^4 steps"] = ms(
-        lambda: walk.Program(m.coins, 10_000, every, every), reps=3)
+    out["verify: seq-ab n=4, every port, 10^4 steps"] = ms(every_port(m.coins, 10_000), reps=3)
     m = machines.spatial_eq(500)
-    every = np.arange(m.graph.num_ports)
-    out["replay: spatial-eq n=1000, every port, 3 steps"] = ms(
-        lambda: walk.Program(m.coins, 3, every, every), reps=5)
+    out["replay: spatial-eq n=1000, every port, 3 steps"] = ms(every_port(m.coins, 3), reps=5)
 print(json.dumps(out))
 """
 
@@ -117,6 +122,8 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     first, last = map(int, args.seeds.split("-"))
+    if last <= first:
+        parser.error(f"--seeds {args.seeds} names fewer than two seeds")
     sides = {"parent": args.parent.resolve(), "change": Path.cwd()}
 
     runs = []
