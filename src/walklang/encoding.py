@@ -16,8 +16,12 @@ word's slot gets ``alpha * eta`` and the second word's slot gets
 
 :func:`encode_chunks` loads a whole grid a chunk at a time, from
 ``(B, n)`` symbol matrices (0 for ``a``, 1 for ``b``) and a ``(B,)`` eta
-vector, checking the grid once; :func:`encode` is its one-chunk call, and
-:func:`initial_state` and :func:`quantum_initial_state` are one-row calls.
+vector, checking the grid once.  It works in input-slot coordinates: each
+row holds the 2n slot amplitudes, symbol s at position k in column
+``2k + s``, the order of ``np.ravel(machine.slot_indices)`` and so of the
+inputs the machine's program reads.  :func:`initial_state` and
+:func:`quantum_initial_state` are one-row calls that spread the slot row
+onto the graph's ports.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ __all__ = [
     "sequential_initial_state",
     "initial_state",
     "quantum_initial_state",
-    "encode",
     "encode_chunks",
 ]
 
@@ -97,8 +100,7 @@ def initial_state(machine, word: str) -> WalkState:
     This is the eta = 1 case of :func:`quantum_initial_state`, where every
     position is loaded classically.
     """
-    row = symbols(machine, [word])
-    return WalkState(machine.graph, encode(machine, row, row, _ONE)[0], _checked=True)
+    return quantum_initial_state(machine, word, word, 1.0)
 
 
 def quantum_initial_state(machine, w1: str, w2: str, eta: complex) -> WalkState:
@@ -108,20 +110,18 @@ def quantum_initial_state(machine, w1: str, w2: str, eta: complex) -> WalkState:
     their ``1/sqrt(n)`` amplitude between the two words' slots in the
     ratio eta to sqrt(1 - |eta|^2), so eta = 1 loads ``w1`` and eta = 0
     loads ``w2``.  Both words must have the machine's length and |eta| <= 1.
+    The :func:`encode_chunks` row is spread onto its ports, and the norm
+    checked there: a forged slot table whose positions share a port fails.
     """
-    first, second = symbols(machine, [w1]), symbols(machine, [w2])
-    amps = encode(machine, first, second, np.array([eta], dtype=np.complex128))
-    return WalkState(machine.graph, amps[0], _checked=True)
-
-
-_ONE = np.ones(1)
+    slots = next(encode_chunks(machine, symbols(machine, [w1]), symbols(machine, [w2]), [eta], 1))
+    amps = np.zeros(machine.graph.num_ports, dtype=np.complex128)
+    amps[np.ravel(machine.slot_indices)] = slots[0]
+    return WalkState(machine.graph, amps)
 
 
 def _check_length(machine, n: int) -> None:
     if n != machine.word_length:
-        raise ValueError(
-            f"machine expects words of length {machine.word_length}, got {n}"
-        )
+        raise ValueError(f"machine expects words of length {machine.word_length}, got {n}")
 
 
 def symbols(machine, words: Sequence[str]) -> np.ndarray:
@@ -139,27 +139,24 @@ def symbols(machine, words: Sequence[str]) -> np.ndarray:
     return codes.reshape(len(words), n)
 
 
-def encode(machine, first: np.ndarray, second: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """The one input encoder: :func:`encode_chunks` of every row in one chunk."""
-    return next(encode_chunks(machine, first, second, eta, max(len(first), 1)))
-
-
 def encode_chunks(machine, first, second, eta, size: int) -> Iterator[np.ndarray]:
-    """``(rows, P)`` amplitudes from ``(B, n)`` symbol matrices, ``size`` rows at a time.
+    """``(rows, 2n)`` slot amplitudes from ``(B, n)`` symbol matrices, ``size`` rows at a time.
 
     Row b superposes the words ``first[b]`` and ``second[b]`` with weight
-    ``eta[b]``, through the machine's a-slot/b-slot table.  A position where
-    they agree gets ``alpha = 1/sqrt(n)`` on its slot; where they differ,
-    the first word's slot gets ``alpha * eta`` and the second word's slot
-    ``alpha * sqrt(1 - |eta|^2)``, each added onto zero.  The grid is checked,
-    and the weights computed per distinct eta, once before the first chunk;
-    no rows make one empty chunk.
+    ``eta[b]``; column ``2k + s`` is symbol s's slot at position k.  A
+    position where they agree gets ``alpha = 1/sqrt(n)`` on its slot; where
+    they differ, the first word's slot gets ``alpha * eta`` and the second
+    word's slot ``alpha * sqrt(1 - |eta|^2)``, each added onto zero.  The
+    grid is checked, and a position's two slots computed per distinct eta
+    and symbol pair, once before the first chunk; each chunk only looks its
+    slots up and guards its rows' norms.  No rows make one empty chunk.
     """
     first, second = np.asarray(first), np.asarray(second)
     eta = np.asarray(eta, dtype=np.complex128)
+    n = machine.word_length
     _check_length(machine, first.shape[-1])
     rows = len(first)
-    if first.shape != (rows, machine.word_length) or second.shape != first.shape:
+    if first.shape != (rows, n) or second.shape != first.shape:
         raise ValueError(f"symbol matrices of shapes {first.shape} and {second.shape}")
     if eta.shape != (rows,):
         raise ValueError(f"eta has shape {eta.shape}, wanted ({rows},)")
@@ -169,22 +166,20 @@ def encode_chunks(machine, first, second, eta, size: int) -> Iterator[np.ndarray
     if bad.size:
         raise ValueError(f"|eta| must be <= 1, got {abs(complex(eta[bad[0]]))}")
 
-    alpha = 1.0 / math.sqrt(machine.word_length)
+    alpha = 1.0 / math.sqrt(n)
     # per distinct eta, the first and the second word's weight where they differ;
     # Python's abs and ** round some values differently from numpy's
     values, which = np.unique(eta, return_inverse=True)
     weight1 = alpha * values
     weight2 = np.array([alpha * math.sqrt(max(0.0, 1.0 - abs(e) ** 2)) for e in values.tolist()])
-    slots = np.asarray(machine.slot_indices)
-    cols, row = np.arange(machine.word_length), np.arange(size)[:, None]
+    # slots[e, 2 * s1 + s2]: the (a, b) slots of a position reading s1, s2; each is 0 + its load
+    slots = np.zeros((len(values), 4, 2), dtype=np.complex128)
+    slots[:, [0, 3], [0, 1]] += alpha
+    slots[:, [1, 2], [0, 1]] += weight1[:, None]
+    slots[:, [1, 2], [1, 0]] += weight2[:, None]
     for lo in range(0, max(rows, 1), size):
-        w1, w2, k = first[lo:lo + size], second[lo:lo + size], which[lo:lo + size, None]
-        same, r = w1 == w2, row[:len(k)]
-        amps = np.zeros((len(k), machine.graph.num_ports), dtype=np.complex128)
-        # every slot is written once, onto zero; where the words agree the
-        # second word's slot is the first's and gets 0 added
-        amps[r, slots[cols, w1]] += np.where(same, alpha, weight1[k])
-        amps[r, slots[cols, w2]] += np.where(same, 0.0, weight2[k])
+        cells = 4 * which[lo:lo + size, None] + 2 * first[lo:lo + size] + second[lo:lo + size]
+        amps = slots.reshape(-1, 2).take(cells, axis=0).reshape(len(cells), 2 * n)
         norms = np.linalg.norm(amps, axis=1)
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_GUARD))
         if bad.size:

@@ -122,7 +122,7 @@ class Machine:
             raise ValueError("accepting/rejecting sets contain input vertices")
         index = self.graph.state_index
         table = tuple((index(a, 0), index(b, 0 if spatial else 1)) for a, b in pairs)
-        # the encoder adds each slot's amplitude onto zero, so no two may coincide
+        # the program reads one column per slot, so no two may coincide
         flat = [i for pair in table for i in pair]
         if len(set(flat)) < len(flat):
             repeated = next(i for k, i in enumerate(flat) if i in flat[:k])
@@ -137,7 +137,7 @@ class Machine:
 
     @cached_property
     def _final_walk(self) -> Program:
-        """The schedule compiled, once, from the input slots: sweep and qinput both run it."""
+        """The schedule compiled once, from the slots in ``encode_chunks``' column order."""
         return Program(self.coins, self.steps, np.ravel(self.slot_indices))
 
 
@@ -443,7 +443,7 @@ CHUNK = 64
 
 
 def final_amplitudes(machine: Machine, first, second, eta) -> Iterator[np.ndarray]:
-    """Encode the rows of :func:`encoding.encode_chunks` and run them, ``CHUNK`` at a time.
+    """Run the slot rows of :func:`encoding.encode_chunks`, ``CHUNK`` at a time.
 
     The grid is checked whole before the first chunk.  Yields, for each
     chunk in order, the C-contiguous ``(rows, ports)`` amplitudes of every

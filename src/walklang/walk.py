@@ -5,9 +5,9 @@ A walk state is a dense complex vector with one amplitude per
 the order fixed by the graph.  One step applies the per-vertex coin
 blocks and then the shift permutation; ``T`` steps of a walk starting
 from ``psi`` are ``evolve(psi, coins, T)``, the one-row call of a
-:class:`Program`, which steps a ``(B, P)`` array of amplitude rows at once:
-the steps compiled once into gemvs over the forward light cone of the input
-ports, permutation moves as renames.
+:class:`Program`, which steps a batch of rows, each read on the input
+ports, at once: the steps compiled once into gemvs over the forward light
+cone of the input ports, permutation moves as renames.
 
 Everything here is pure: state amplitudes and coin blocks are arrays over
 immutable buffers and each operation returns a new state, so walks over a
@@ -184,18 +184,17 @@ def evolve(state: WalkState, coins: CoinAssignment, steps: int) -> WalkState:
     graph = state.graph
     if coins.graph is not graph and coins.graph != graph:
         raise ValueError("coin assignment was built for a different graph")
-    every = np.arange(graph.num_ports)
-    amps = Program(coins, steps, every)(state.amplitudes[None])[0]
+    amps = Program(coins, steps, np.arange(graph.num_ports))(state.amplitudes[None])[0]
     return WalkState(graph, amps, _checked=True)
 
 
 class Program:
     """``steps`` SC steps compiled into gemvs over the forward light cone of ``inputs``.
 
-    Called on ``(B, P)`` rows, it reads their ports ``inputs``, takes every
-    other port as zero, and returns the C-contiguous amplitudes of every
-    port.  Each port's amplitude lives in a register, a column of a
-    ``(B, P)`` workspace, and a permutation move renames them here, once.
+    Called on ``(B, len(inputs))`` rows, column j port ``inputs[j]`` (no port
+    twice), it returns the C-contiguous ``(B, P)`` amplitudes of every port.
+    Each port lives in a register, a column of a ``(B, P)`` workspace that
+    starts as the rows then zeros, and a permutation move renames them, once.
     A mixing vertex is one ``(d, d) @ (d,)`` gemv per row, written back
     into its registers, at each step where the inputs reach one of its
     ports.  A port outside that cone may hold ``+0.0`` where a step-by-step
@@ -210,8 +209,13 @@ class Program:
     def __init__(self, coins: CoinAssignment, steps: int, inputs):
         _check_steps(steps)
         route, kernel, ports = coins._route, coins._kernel, coins.graph.num_ports
-        reg, reach, events, loops = np.arange(ports), np.zeros(ports, dtype=bool), [], 0
+        inputs = np.arange(ports)[inputs]  # port ids: a negative one counts from the end
+        reach, events, loops = np.zeros(ports, dtype=bool), [], 0
         reach[inputs] = True
+        if np.count_nonzero(reach) < len(inputs):
+            raise ValueError(f"program inputs repeat port {np.bincount(inputs).argmax()}")
+        # input j in register j, then the other ports in order
+        reg = np.argsort(np.concatenate([inputs, np.flatnonzero(~reach)]))
         for t in range(steps):
             if reach.all():  # and so at every later step
                 loops = steps - t
@@ -225,17 +229,18 @@ class Program:
                                    else stack[keep]))
                     reach[idx[keep]] = True
             reg, reach = reg[route], reach[route]
-        self._ports, self._inputs, self._events = ports, np.asarray(inputs), tuple(events)
+        self._ports, self._inputs, self._events = ports, inputs, tuple(events)
         # the registers laid out by port (port p in column p), then the steady step repeated
         self._layout, self._loops = reg, loops
         self._steady = kernel, route
 
     def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
         amps = np.asarray(amplitudes, dtype=np.complex128)
-        if amps.ndim != 2 or amps.shape[1] != self._ports:
-            raise ValueError(f"amplitudes have shape {amps.shape}, graph has {self._ports} ports")
-        work = np.zeros(amps.shape, dtype=np.complex128)
-        work[:, self._inputs] = amps[:, self._inputs]
+        if amps.ndim != 2 or amps.shape[1] != len(self._inputs):
+            raise ValueError(f"amplitudes have shape {amps.shape}, "
+                             f"program reads {len(self._inputs)} input ports")
+        work = np.zeros((len(amps), self._ports), dtype=np.complex128)
+        work[:, :len(self._inputs)] = amps
         for regs, blocks in self._events:
             work[:, regs] = (blocks @ work.take(regs, axis=1)[..., None])[..., 0]
         work = work.take(self._layout, axis=1)

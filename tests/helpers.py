@@ -8,6 +8,7 @@ import numpy as np
 
 from walklang import CoinAssignment, NonUnitaryError, PortGraph, WalkState
 from walklang import coins as coinlib
+from walklang.encoding import encode_chunks
 
 
 def basis_state(graph: PortGraph, v: int, c: int) -> WalkState:
@@ -125,10 +126,24 @@ def reference_jaro(words: list[str], reference: str) -> np.ndarray:
     return (s / n + s / size + (s - t) / np.maximum(s, 1.0)) / 3.0
 
 
-def reference_load(machine, w1: str, w2: str, eta: complex) -> np.ndarray:
-    """Encoded amplitudes by a loop over positions, one Python scalar at a time.
+def slot_rows(machine, first, second, eta) -> np.ndarray:
+    """Every ``(rows, 2n)`` slot row of ``encoding.encode_chunks``, in one chunk."""
+    return next(encode_chunks(machine, first, second, eta, max(len(first), 1)))
 
-    A bit-identity oracle for ``encoding.encode``: matching positions set
+
+def spread(machine, slots: np.ndarray) -> np.ndarray:
+    """``(rows, 2n)`` slot rows spread onto the machine's ports: ``(rows, P)``, zero elsewhere."""
+    amps = np.zeros((len(slots), machine.graph.num_ports), dtype=np.complex128)
+    amps[:, np.ravel(machine.slot_indices)] = slots
+    return amps
+
+
+def reference_load(machine, w1: str, w2: str, eta: complex) -> np.ndarray:
+    """Encoded amplitudes on every port, by a loop over positions, one Python scalar at a time.
+
+    A bit-identity oracle for ``encoding.encode_chunks``' rows spread onto
+    the ports (:func:`spread`), and so for the states of
+    ``encoding.quantum_initial_state``: matching positions set
     ``alpha`` on their slot, differing ones add ``alpha * eta`` and
     ``alpha * sqrt(1 - |eta|^2)`` onto zero.
     """

@@ -1,4 +1,6 @@
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +18,12 @@ from walklang import (
 )
 from walklang import PortGraph
 from walklang.coins import grover
-from walklang.encoding import check_word, encode, encode_chunks, symbols, words_of_length
-from walklang.machines import FAMILIES, Machine, acceptances
-from walklang.walk import CoinAssignment
+from walklang import encoding
+from walklang.encoding import check_word, encode_chunks, symbols, words_of_length
+from walklang.machines import CHUNK, FAMILIES, Machine, acceptances
+from walklang.walk import CoinAssignment, Program
 
-from helpers import all_words, reference_load
+from helpers import all_words, reference_load, slot_rows, spread
 
 def amplitude(state, v: int, c: int) -> complex:
     return complex(state.amplitudes[state.graph.state_index(v, c)])
@@ -206,8 +209,10 @@ etas = st.one_of(
 def test_encode_matches_the_per_word_loop_bit_for_bit(family, rows):
     w1s, w2s, eta = zip(*rows)
     machine = machine_for_length(family, len(w1s[0]))
-    got = encode(machine, symbols(machine, w1s), symbols(machine, w2s),
-                 np.array(eta, dtype=np.complex128))
+    slots = slot_rows(machine, symbols(machine, w1s), symbols(machine, w2s),
+                      np.array(eta, dtype=np.complex128))
+    assert slots.shape == (len(rows), 2 * machine.word_length)
+    got = spread(machine, slots)
     for k, row in enumerate(rows):
         assert got[k].tobytes() == reference_load(machine, *row).tobytes()
     single = quantum_initial_state(machine, *rows[0])
@@ -238,17 +243,17 @@ def test_encode_rejects_bad_arguments():
     machine = spatial_eq(2)
     rows = symbols(machine, ["aabb", "abab"])
     with pytest.raises(ValueError, match="length 4, got 3"):
-        encode(machine, rows[:, :3], rows[:, :3], np.ones(2))
+        slot_rows(machine, rows[:, :3], rows[:, :3], np.ones(2))
     with pytest.raises(ValueError, match="eta has shape"):
-        encode(machine, rows, rows, np.ones(3))
+        slot_rows(machine, rows, rows, np.ones(3))
     with pytest.raises(ValueError, match="0 \\(a\\) and 1 \\(b\\)"):
-        encode(machine, rows, rows + 1, np.ones(2))
+        slot_rows(machine, rows, rows + 1, np.ones(2))
     for eta in (1.5, float("nan")):
         with pytest.raises(ValueError, match=r"\|eta\| must be <= 1"):
-            encode(machine, rows, rows[::-1], np.array([0.5, eta]))
+            slot_rows(machine, rows, rows[::-1], np.array([0.5, eta]))
 
 
-def test_encode_guards_the_norm_of_every_row():
+def test_encode_guards_the_norm_of_every_row(monkeypatch):
     graph = PortGraph([(0, 2), (1, 2), (3, 2), (4, 2)])
     machine = Machine(
         family="two-rails",
@@ -256,15 +261,25 @@ def test_encode_guards_the_norm_of_every_row():
         accepting=frozenset({2}), rejecting=frozenset(), steps=1,
     )
     # a slot table forged past the constructor's check: both positions share
-    # their rails, so "aa" and "bb" load one slot twice
+    # their rails, so "aa" and "bb" load one port twice
     object.__setattr__(machine, "slot_indices", ((0, 1), (0, 1)))
-    assert np.linalg.norm(encode(machine, *[symbols(machine, ["ab", "ba"])] * 2,
-                                 np.ones(2)), axis=1) == pytest.approx(1.0)
-    rows = symbols(machine, ["ab", "bb"])
-    with pytest.raises(ValueError, match=r"not normalised \(norm 0\.7071067811865475\)"):
-        encode(machine, rows, rows, np.ones(2))
+    assert np.linalg.norm(slot_rows(machine, *[symbols(machine, ["ab", "ba"])] * 2,
+                                    np.ones(2)), axis=1) == pytest.approx(1.0)
+    # slot columns never share a port, so the program that reads them refuses the table
+    with pytest.raises(ValueError, match="program inputs repeat port 0$"):
+        acceptances(machine, ["ab", "bb"])
+    with pytest.raises(ValueError, match="program inputs repeat port 0$"):
+        Program(machine.coins, machine.steps, np.ravel(machine.slot_indices))
+    # a state spread onto the ports writes the shared one twice and fails its norm check
     with pytest.raises(ValueError, match=r"not normalised \(norm 0\.7071067811865475\)"):
         initial_state(machine, "aa")
+    with pytest.raises(ValueError, match=r"not normalised \(norm 0\.7071067811865475\)"):
+        quantum_initial_state(machine, "ab", "bb", 0.6)
+    # and the encoder refuses a row it computes with the wrong norm
+    rows = symbols(spatial_eq(2), ["aabb", "abab"])
+    monkeypatch.setattr(encoding, "math", SimpleNamespace(sqrt=lambda x: 2 * math.sqrt(x)))
+    with pytest.raises(ValueError, match=r"not normalised \(norm 0\.5\)"):
+        slot_rows(spatial_eq(2), rows, rows, np.ones(2))
 
 
 @given(
@@ -282,18 +297,56 @@ def test_encode_chunks_are_encode_cut_into_rows(family, rows, size):
     # the same eta given twice, once with a negative zero, makes one distinct value
     eta = np.array([*eta, complex(-0.0, eta[0].imag)], dtype=np.complex128)
     first, second = symbols(machine, [*w1s, w1s[0]]), symbols(machine, [*w2s, w2s[0]])
-    whole = encode(machine, first, second, eta)
+    whole = slot_rows(machine, first, second, eta)
     chunks = list(encode_chunks(machine, first, second, eta, size))
     assert [len(c) for c in chunks] == [len(c) for c in np.array_split(
         whole, range(size, len(whole), size))]
     assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    ports = spread(machine, whole)
     for k, (w1, w2, e) in enumerate(zip(w1s, w2s, eta)):
-        assert whole[k].tobytes() == reference_load(machine, w1, w2, e).tobytes()
+        assert ports[k].tobytes() == reference_load(machine, w1, w2, e).tobytes()
 
 
 def test_encode_of_no_rows_is_empty():
     machine = spatial_eq(2)
     rows = symbols(machine, [])
-    assert encode(machine, rows, rows, np.ones(0)).shape == (0, machine.graph.num_ports)
+    assert slot_rows(machine, rows, rows, np.ones(0)).shape == (0, 2 * machine.word_length)
     [chunk] = encode_chunks(machine, rows, rows, np.ones(0), 64)
-    assert chunk.shape == (0, machine.graph.num_ports)
+    assert chunk.shape == (0, 8)
+
+
+def port_rows(machine, first, second, eta) -> np.ndarray:
+    """The ``(rows, P)`` rows the encoder gave before it wrote slot columns, the same code."""
+    alpha = 1.0 / math.sqrt(machine.word_length)
+    values, which = np.unique(np.asarray(eta, dtype=np.complex128), return_inverse=True)
+    weight1 = alpha * values
+    weight2 = np.array([alpha * math.sqrt(max(0.0, 1.0 - abs(e) ** 2)) for e in values.tolist()])
+    slots, k, same = np.asarray(machine.slot_indices), which[:, None], first == second
+    cols, r = np.arange(machine.word_length), np.arange(len(first))[:, None]
+    amps = np.zeros((len(first), machine.graph.num_ports), dtype=np.complex128)
+    amps[r, slots[cols, first]] += np.where(same, alpha, weight1[k])
+    amps[r, slots[cols, second]] += np.where(same, 0.0, weight2[k])
+    return amps
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_slot_rows_spread_onto_the_ports_are_the_port_rows_bit_for_bit(family):
+    rng = np.random.default_rng(20 + sorted(FAMILIES).index(family))
+    for n in range(1, 9):
+        machine = machine_for_length(family, n)
+        words = all_words(n)
+        w1s = [words[i] for i in rng.integers(len(words), size=130)]
+        w2s = [words[i] for i in rng.integers(len(words), size=130)]
+        etas = np.exp(2j * np.pi * rng.random(130)) * rng.random(130)
+        etas[:4] = (1.0, 0.0, -0.0, -1.0)
+        first, second = symbols(machine, w1s), symbols(machine, w2s)
+        # one row, both sides of one chunk, and two chunks' worth
+        for rows in (1, 63, 64, 65, 130):
+            chunks = encode_chunks(machine, first[:rows], second[:rows], etas[:rows], CHUNK)
+            slots = np.concatenate(list(chunks))
+            expected = port_rows(machine, first[:rows], second[:rows], etas[:rows])
+            assert spread(machine, slots).tobytes() == expected.tobytes(), (n, rows)
+            assert slots.tobytes() == expected[:, np.ravel(machine.slot_indices)].tobytes()
+            for k in (0, rows - 1):
+                load = reference_load(machine, w1s[k], w2s[k], etas[k])
+                assert expected[k].tobytes() == load.tobytes(), (n, rows, k)

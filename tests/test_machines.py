@@ -24,7 +24,7 @@ from walklang import (
     word_acceptance,
 )
 from walklang.coins import grover
-from walklang.encoding import encode, symbols
+from walklang.encoding import symbols
 from walklang.machines import CHUNK, FAMILIES, Machine, acceptances, final_amplitudes
 from walklang.walk import Program, WalkState, all_vertex_probabilities, vertex_masses
 
@@ -34,6 +34,8 @@ from helpers import (
     reference_evolve,
     reference_load,
     reference_vertex_probabilities,
+    slot_rows,
+    spread,
 )
 
 # Exhaustive length-4 acceptance tables for the reference layouts, frozen
@@ -612,10 +614,11 @@ def test_evolve_batch_rows_match_reference_loop(family):
 
         every = np.arange(machine.graph.num_ports)
         evolve_rows = Program(machine.coins, machine.steps, every)
-        single = evolve_rows(encode(machine, first[:1], first[:1], np.ones(1)))
+        # the every-port program reads the slot rows spread onto the ports
+        single = evolve_rows(spread(machine, slot_rows(machine, first[:1], first[:1], np.ones(1))))
         assert single.shape == (1, machine.graph.num_ports)
         assert np.array_equal(single[0], classical[0])
-        whole = evolve_rows(encode(machine, first, first, np.ones(len(w1s))))
+        whole = evolve_rows(spread(machine, slot_rows(machine, first, first, np.ones(len(w1s)))))
         chunked = np.concatenate(list(final_amplitudes(machine, first, second, etas)))
         for k in range(len(w1s)):
             assert np.array_equal(whole[k], classical[k]), (n, k)
@@ -692,7 +695,7 @@ def test_programs_match_reference_loop_on_their_measured_ports(family):
         expected = np.array(reference_rows(machine, w1s, w2s, etas))
         classical = np.array(reference_rows(machine, w1s, w1s, np.ones(len(w1s))))
         graph = machine.graph
-        amps = encode(machine, symbols(machine, w1s), symbols(machine, w2s), etas)
+        amps = slot_rows(machine, symbols(machine, w1s), symbols(machine, w2s), etas)
         # one row, both sides of one chunk, and two chunks' worth
         for rows in (1, 63, 64, 65, 130):
             final = machine._final_walk(amps[:rows])

@@ -25,6 +25,8 @@ from helpers import (
     line_graph,
     reference_fidelity,
     reference_jaro,
+    slot_rows,
+    spread,
 )
 
 words = st.text(alphabet="ab", min_size=1, max_size=10)
@@ -261,7 +263,7 @@ def test_fidelity_matches_the_per_row_oracle_on_batch_rows():
     first = np.broadcast_to(encoding.symbols(machine, [base]), (len(others) * 11, 6))
     second = np.repeat(encoding.symbols(machine, others), 11, axis=0)
     eta = np.tile(np.linspace(0.0, 1.0, 11), len(others))
-    amps = encoding.encode(machine, first, second, eta)
+    amps = spread(machine, slot_rows(machine, first, second, eta))
     every = np.arange(machine.graph.num_ports)
     final = Program(machine.coins, machine.steps, every)(amps)
     assert final.flags.c_contiguous

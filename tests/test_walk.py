@@ -297,7 +297,7 @@ def test_a_long_program_keeps_one_register_per_port():
         # the workspace has one register per port, so it is at most P + 1 wide
         assert 0 <= used.min() and used.max() < ports
         assert sorted(program._layout.tolist()) == every.tolist()
-        final = program(state.amplitudes[None])
+        final = program(state.amplitudes[None, inputs])
         assert final.shape == (1, ports)
         assert np.array_equal(final[0], reference_evolve(state, cs, 10_000))
     # every port input: all steps are the steady one, on registers laid out by port
@@ -312,10 +312,12 @@ def test_a_program_enters_its_steady_step_part_way():
     g = PortGraph([(v, (v + 1) % 5) for v in range(5)])
     cs = CoinAssignment.by_degree(g, lambda d: coins.hadamard())
     every, state = np.arange(g.num_ports), basis_state(g, 0, 0)
-    program = Program(cs, 40, [g.state_index(0, 0)])
+    inputs = [g.state_index(0, 0)]
+    program = Program(cs, 40, inputs)
     assert program._events and 0 < program._loops < 40
     assert program._layout.tolist() != every.tolist()
-    assert np.array_equal(program(state.amplitudes[None])[0], reference_evolve(state, cs, 40))
+    final = program(state.amplitudes[None, inputs])[0]
+    assert np.array_equal(final, reference_evolve(state, cs, 40))
 
 
 def test_a_program_does_not_grow_with_its_steps():
@@ -717,8 +719,17 @@ def test_program_checks_its_arguments():
         with pytest.raises(ValueError, match=f"non-negative int, got {steps!r}"):
             Program(cs, steps, every)
     for bad in (amps[0], amps[:, :-1]):
-        with pytest.raises(ValueError, match=f"graph has {g.num_ports} ports"):
+        with pytest.raises(ValueError, match=f"program reads {g.num_ports} input ports$"):
             Program(cs, 1, every)(bad)
+    # a program from two input ports reads two columns, one per port
+    with pytest.raises(ValueError, match=r"shape \(4, 4\), program reads 2 input ports$"):
+        Program(cs, 1, [0, 3])(amps)
+    two = Program(cs, 5, [0, 3])(amps[:, [0, 3]])
+    assert np.array_equal(two, Program(cs, 5, every)(amps * np.isin(every, [0, 3])))
+    assert np.array_equal(two, Program(cs, 5, [-4, -1])(amps[:, [0, 3]]))
+    for repeated in ([0, 3, 0], [2, 2]):
+        with pytest.raises(ValueError, match=f"program inputs repeat port {repeated[-1]}$"):
+            Program(cs, 1, repeated)
     assert np.array_equal(Program(cs, 0, every)(amps), amps)
     for k, row in enumerate(Program(cs, 5, every)(amps)):
         state = WalkState(g, amps[k])

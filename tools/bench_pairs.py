@@ -19,9 +19,7 @@ Every process runs BLAS on one thread.
 ``COMPILE_TIMES`` is specific to the light-cone programs of
 ``walk.Program``: it times the compile of each program the workloads
 build, and a checkout without ``walk.Program`` records none.  A sweep
-times the machine's program: ``Machine._accepting_walk`` in a checkout
-that compiles one for the accepting ports, ``Machine._final_walk``
-otherwise; ``measured`` goes only to a ``Program`` that takes it.
+and a qinput time the machine's one program, ``Machine._final_walk``.
 ``--seeds`` must name at least two seeds, since the summary takes quartiles.
 """
 
@@ -45,7 +43,7 @@ VERIFY_RUNS = 10
 
 # run in a checkout: the median compile time, in ms, of each program a workload builds
 COMPILE_TIMES = r"""
-import inspect, json, statistics, time
+import json, statistics, time
 import numpy as np
 from walklang import machines, walk
 
@@ -59,20 +57,18 @@ def ms(make, reps=15):
 
 out = {}
 if hasattr(walk, "Program"):
-    Machine = machines.Machine
-    sweep = getattr(Machine, "_accepting_walk", Machine._final_walk).func
-    measured = "measured" in inspect.signature(walk.Program).parameters
+    program = machines.Machine._final_walk.func
 
     def every_port(coins, steps):
         every = np.arange(coins.graph.num_ports)
-        return lambda: walk.Program(coins, steps, every, *[every] * measured)
+        return lambda: walk.Program(coins, steps, every)
 
     for n in range(1, 13):
         m = machines.machine_for_length("seq-eq", n)
         out[f"sweep-seq: seq-eq n={n}, machine program, {m.steps} steps"] = ms(
-            lambda: sweep(m))
+            lambda: program(m))
     m = machines.machine_for_length("spatial-eq", 8)
-    out["qinput: spatial-eq n=8, every port"] = ms(lambda: Machine._final_walk.func(m))
+    out["qinput: spatial-eq n=8, machine program"] = ms(lambda: program(m))
     out["qinput: spatial-eq n=8, reference evolve"] = ms(every_port(m.coins, m.steps))
     m = machines.sequential_ab(4)
     out["verify: seq-ab n=4, every port, 10^4 steps"] = ms(every_port(m.coins, 10_000), reps=3)
