@@ -14,14 +14,14 @@ they agree the slot is loaded classically, where they differ the first
 word's slot gets ``alpha * eta`` and the second word's slot gets
 ``alpha * sqrt(1 - |eta|^2)``.
 
-:func:`encode_chunks` loads a whole grid a chunk at a time, from
+:func:`encode_chunks` loads a whole grid ``CHUNK`` rows at a time, from
 ``(B, n)`` symbol matrices (0 for ``a``, 1 for ``b``) and a ``(B,)`` eta
-vector, checking the grid once.  It works in input-slot coordinates: each
-row holds the 2n slot amplitudes, symbol s at position k in column
-``2k + s``, the order of ``np.ravel(machine.slot_indices)`` and so of the
-inputs the machine's program reads.  :func:`initial_state` and
-:func:`quantum_initial_state` are one-row calls that spread the slot row
-onto the graph's ports.
+vector, checking the grid and each slot pair's norm once.  It works in
+input-slot coordinates: each row holds the 2n slot amplitudes, symbol s
+at position k in column ``2k + s``, the order of
+``np.ravel(machine.slot_indices)`` and so of the inputs the machine's
+program reads.  :func:`initial_state` and :func:`quantum_initial_state`
+are one-row calls that spread the slot row onto the graph's ports.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .walk import NORM_GUARD, WalkState, _check_norm
+from .walk import NORM_GUARD, WalkState
 
 __all__ = [
     "ALPHABET",
@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 ALPHABET = "ab"
+# Rows per chunk: enough to spread numpy's per-call cost over many words,
+# few enough that a chunk's arrays stay as small as the rest of a run.
+CHUNK = 64
 # the largest |eta| a quantum input may carry, rounding included
 ETA_BOUND = 1 + 1e-12
 
@@ -113,7 +116,7 @@ def quantum_initial_state(machine, w1: str, w2: str, eta: complex) -> WalkState:
     The :func:`encode_chunks` row is spread onto its ports, and the norm
     checked there: a forged slot table whose positions share a port fails.
     """
-    slots = next(encode_chunks(machine, symbols(machine, [w1]), symbols(machine, [w2]), [eta], 1))
+    slots = next(encode_chunks(machine, symbols(machine, [w1]), symbols(machine, [w2]), [eta]))
     amps = np.zeros(machine.graph.num_ports, dtype=np.complex128)
     amps[np.ravel(machine.slot_indices)] = slots[0]
     return WalkState(machine.graph, amps)
@@ -139,17 +142,17 @@ def symbols(machine, words: Sequence[str]) -> np.ndarray:
     return codes.reshape(len(words), n)
 
 
-def encode_chunks(machine, first, second, eta, size: int) -> Iterator[np.ndarray]:
-    """``(rows, 2n)`` slot amplitudes from ``(B, n)`` symbol matrices, ``size`` rows at a time.
+def encode_chunks(machine, first, second, eta) -> Iterator[np.ndarray]:
+    """``(rows, 2n)`` slot amplitudes from ``(B, n)`` symbol matrices, ``CHUNK`` rows at a time.
 
     Row b superposes the words ``first[b]`` and ``second[b]`` with weight
     ``eta[b]``; column ``2k + s`` is symbol s's slot at position k.  A
     position where they agree gets ``alpha = 1/sqrt(n)`` on its slot; where
     they differ, the first word's slot gets ``alpha * eta`` and the second
-    word's slot ``alpha * sqrt(1 - |eta|^2)``, each added onto zero.  The
-    grid is checked, and a position's two slots computed per distinct eta
-    and symbol pair, once before the first chunk; each chunk only looks its
-    slots up and guards its rows' norms.  No rows make one empty chunk.
+    word's slot ``alpha * sqrt(1 - |eta|^2)``, each added onto zero.  Before
+    the first chunk the grid is checked, a position's two slots computed
+    per distinct eta and symbol pair, and that table's norms checked; each
+    chunk only looks its slots up.  No rows make one empty chunk.
     """
     first, second = np.asarray(first), np.asarray(second)
     eta = np.asarray(eta, dtype=np.complex128)
@@ -160,8 +163,8 @@ def encode_chunks(machine, first, second, eta, size: int) -> Iterator[np.ndarray
         raise ValueError(f"symbol matrices of shapes {first.shape} and {second.shape}")
     if eta.shape != (rows,):
         raise ValueError(f"eta has shape {eta.shape}, wanted ({rows},)")
-    if not all(((s == 0) | (s == 1)).all() for s in (first, second)):
-        raise ValueError("symbol matrices may only hold 0 (a) and 1 (b)")
+    if not all(s.dtype.kind in "biu" and ((s == 0) | (s == 1)).all() for s in (first, second)):
+        raise ValueError("symbol matrices may only hold integer 0 (a) and 1 (b)")
     bad = np.flatnonzero(~(np.abs(eta) <= ETA_BOUND))
     if bad.size:
         raise ValueError(f"|eta| must be <= 1, got {abs(complex(eta[bad[0]]))}")
@@ -177,11 +180,12 @@ def encode_chunks(machine, first, second, eta, size: int) -> Iterator[np.ndarray
     slots[:, [0, 3], [0, 1]] += alpha
     slots[:, [1, 2], [0, 1]] += weight1[:, None]
     slots[:, [1, 2], [1, 0]] += weight2[:, None]
-    for lo in range(0, max(rows, 1), size):
-        cells = 4 * which[lo:lo + size, None] + 2 * first[lo:lo + size] + second[lo:lo + size]
-        amps = slots.reshape(-1, 2).take(cells, axis=0).reshape(len(cells), 2 * n)
-        norms = np.linalg.norm(amps, axis=1)
-        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_GUARD))
-        if bad.size:
-            _check_norm(amps[bad[0]])
-        yield amps
+    # a row's squared norm is the sum of its n positions' |slot pair|^2, so every
+    # row is within NORM_GUARD of 1 if every pair's n * |pair|^2 is
+    squares = n * (np.abs(slots) ** 2).sum(axis=2)
+    bad = np.flatnonzero(~(np.abs(squares - 1.0) <= NORM_GUARD))
+    if bad.size:
+        raise ValueError(f"state is not normalised (norm {float(np.sqrt(squares.flat[bad[0]]))})")
+    for lo in range(0, max(rows, 1), CHUNK):
+        cells = 4 * which[lo:lo + CHUNK, None] + 2 * first[lo:lo + CHUNK] + second[lo:lo + CHUNK]
+        yield slots.reshape(-1, 2).take(cells, axis=0).reshape(len(cells), 2 * n)

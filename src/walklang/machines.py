@@ -437,19 +437,14 @@ def word_acceptance(machine: Machine, word: str) -> float:
     return sum(vertex_probability(final, v) for v in machine.accepting)
 
 
-# Rows per batch: enough to spread numpy's per-call cost over many words,
-# few enough that a batch's arrays stay as small as the rest of a run.
-CHUNK = 64
-
-
 def final_amplitudes(machine: Machine, first, second, eta) -> Iterator[np.ndarray]:
-    """Run the slot rows of :func:`encoding.encode_chunks`, ``CHUNK`` at a time.
+    """Run each chunk of :func:`encoding.encode_chunks` through the machine's one program.
 
     The grid is checked whole before the first chunk.  Yields, for each
     chunk in order, the C-contiguous ``(rows, ports)`` amplitudes of every
-    port after ``machine.steps``, from the machine's one program.
+    port after ``machine.steps``.
     """
-    for amps in encoding.encode_chunks(machine, first, second, eta, CHUNK):
+    for amps in encoding.encode_chunks(machine, first, second, eta):
         yield machine._final_walk(amps)
 
 

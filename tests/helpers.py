@@ -127,8 +127,8 @@ def reference_jaro(words: list[str], reference: str) -> np.ndarray:
 
 
 def slot_rows(machine, first, second, eta) -> np.ndarray:
-    """Every ``(rows, 2n)`` slot row of ``encoding.encode_chunks``, in one chunk."""
-    return next(encode_chunks(machine, first, second, eta, max(len(first), 1)))
+    """Every ``(rows, 2n)`` slot row of ``encoding.encode_chunks``, its chunks concatenated."""
+    return np.concatenate(list(encode_chunks(machine, first, second, eta)))
 
 
 def spread(machine, slots: np.ndarray) -> np.ndarray:

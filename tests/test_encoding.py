@@ -19,8 +19,8 @@ from walklang import (
 from walklang import PortGraph
 from walklang.coins import grover
 from walklang import encoding
-from walklang.encoding import check_word, encode_chunks, symbols, words_of_length
-from walklang.machines import CHUNK, FAMILIES, Machine, acceptances
+from walklang.encoding import CHUNK, check_word, encode_chunks, symbols, words_of_length
+from walklang.machines import FAMILIES, Machine, acceptances
 from walklang.walk import CoinAssignment, Program
 
 from helpers import all_words, reference_load, slot_rows, spread
@@ -248,6 +248,10 @@ def test_encode_rejects_bad_arguments():
         slot_rows(machine, rows, rows, np.ones(3))
     with pytest.raises(ValueError, match="0 \\(a\\) and 1 \\(b\\)"):
         slot_rows(machine, rows, rows + 1, np.ones(2))
+    # a float 0.0 or 1.0 is no symbol either
+    for floats in ((rows.astype(float), rows), (rows, rows.astype(np.float32))):
+        with pytest.raises(ValueError, match="0 \\(a\\) and 1 \\(b\\)"):
+            slot_rows(machine, *floats, np.ones(2))
     for eta in (1.5, float("nan")):
         with pytest.raises(ValueError, match=r"\|eta\| must be <= 1"):
             slot_rows(machine, rows, rows[::-1], np.array([0.5, eta]))
@@ -275,11 +279,19 @@ def test_encode_guards_the_norm_of_every_row(monkeypatch):
         initial_state(machine, "aa")
     with pytest.raises(ValueError, match=r"not normalised \(norm 0\.7071067811865475\)"):
         quantum_initial_state(machine, "ab", "bb", 0.6)
-    # and the encoder refuses a row it computes with the wrong norm
-    rows = symbols(spatial_eq(2), ["aabb", "abab"])
+    # and the encoder refuses a row it computes with the wrong norm; the machine
+    # is built first, since its build encodes its member word
+    plain = spatial_eq(2)
+    rows = symbols(plain, ["aabb", "abab"])
     monkeypatch.setattr(encoding, "math", SimpleNamespace(sqrt=lambda x: 2 * math.sqrt(x)))
     with pytest.raises(ValueError, match=r"not normalised \(norm 0\.5\)"):
-        slot_rows(spatial_eq(2), rows, rows, np.ones(2))
+        slot_rows(plain, rows, rows, np.ones(2))
+    # by checking its slot table before the first chunk of a grid of several
+    grid = np.tile(rows, (CHUNK, 1))
+    chunks = encode_chunks(plain, grid, grid, np.ones(len(grid)))
+    with pytest.raises(ValueError, match=r"not normalised \(norm 0\.5\)"):
+        next(chunks)
+    assert list(chunks) == []
 
 
 @given(
@@ -288,30 +300,33 @@ def test_encode_guards_the_norm_of_every_row(monkeypatch):
         st.tuples(st.text("ab", min_size=n, max_size=n),
                   st.text("ab", min_size=n, max_size=n), etas),
         min_size=1, max_size=30)),
-    st.integers(1, 31),
 )
 @settings(max_examples=100, deadline=None)
-def test_encode_chunks_are_encode_cut_into_rows(family, rows, size):
+def test_encode_chunks_are_encode_cut_into_rows(family, rows):
     w1s, w2s, eta = zip(*rows)
     machine = machine_for_length(family, len(w1s[0]))
     # the same eta given twice, once with a negative zero, makes one distinct value
+    w1s, w2s = [*w1s, w1s[0]], [*w2s, w2s[0]]
     eta = np.array([*eta, complex(-0.0, eta[0].imag)], dtype=np.complex128)
-    first, second = symbols(machine, [*w1s, w1s[0]]), symbols(machine, [*w2s, w2s[0]])
-    whole = slot_rows(machine, first, second, eta)
-    chunks = list(encode_chunks(machine, first, second, eta, size))
-    assert [len(c) for c in chunks] == [len(c) for c in np.array_split(
-        whole, range(size, len(whole), size))]
-    assert np.concatenate(chunks).tobytes() == whole.tobytes()
-    ports = spread(machine, whole)
-    for k, (w1, w2, e) in enumerate(zip(w1s, w2s, eta)):
-        assert ports[k].tobytes() == reference_load(machine, w1, w2, e).tobytes()
+    first, second = symbols(machine, w1s), symbols(machine, w2s)
+    loads = [reference_load(machine, *row) for row in zip(w1s, w2s, eta)]
+    # the drawn rows tiled to one row, both sides of one chunk, and two chunks' worth
+    for total in (1, 63, 64, 65, 130):
+        pick = np.arange(total) % len(w1s)
+        chunks = list(encode_chunks(machine, first[pick], second[pick], eta[pick]))
+        assert [len(c) for c in chunks[:-1]] == [CHUNK] * (len(chunks) - 1)
+        assert len(chunks) == -(-total // CHUNK)
+        ports = spread(machine, np.concatenate(chunks))
+        assert len(ports) == total
+        for k, row in enumerate(pick):
+            assert ports[k].tobytes() == loads[row].tobytes(), (total, k)
 
 
 def test_encode_of_no_rows_is_empty():
     machine = spatial_eq(2)
     rows = symbols(machine, [])
     assert slot_rows(machine, rows, rows, np.ones(0)).shape == (0, 2 * machine.word_length)
-    [chunk] = encode_chunks(machine, rows, rows, np.ones(0), 64)
+    [chunk] = encode_chunks(machine, rows, rows, np.ones(0))
     assert chunk.shape == (0, 8)
 
 
@@ -342,7 +357,7 @@ def test_slot_rows_spread_onto_the_ports_are_the_port_rows_bit_for_bit(family):
         first, second = symbols(machine, w1s), symbols(machine, w2s)
         # one row, both sides of one chunk, and two chunks' worth
         for rows in (1, 63, 64, 65, 130):
-            chunks = encode_chunks(machine, first[:rows], second[:rows], etas[:rows], CHUNK)
+            chunks = encode_chunks(machine, first[:rows], second[:rows], etas[:rows])
             slots = np.concatenate(list(chunks))
             expected = port_rows(machine, first[:rows], second[:rows], etas[:rows])
             assert spread(machine, slots).tobytes() == expected.tobytes(), (n, rows)

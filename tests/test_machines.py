@@ -24,8 +24,8 @@ from walklang import (
     word_acceptance,
 )
 from walklang.coins import grover
-from walklang.encoding import symbols
-from walklang.machines import CHUNK, FAMILIES, Machine, acceptances, final_amplitudes
+from walklang.encoding import CHUNK, symbols
+from walklang.machines import FAMILIES, Machine, acceptances, final_amplitudes
 from walklang.walk import Program, WalkState, all_vertex_probabilities, vertex_masses
 
 from helpers import (

@@ -15,7 +15,8 @@ from walklang import (
     step,
 )
 from walklang import coins
-from walklang.machines import CHUNK, FAMILIES, final_amplitudes, member_word
+from walklang.encoding import CHUNK
+from walklang.machines import FAMILIES, final_amplitudes, member_word
 from walklang.walk import Program
 
 from helpers import (

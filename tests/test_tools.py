@@ -31,15 +31,32 @@ def test_compile_times_run_in_this_checkout():
     assert all(isinstance(ms, float) and ms > 0 for ms in times.values())
 
 
-@pytest.mark.parametrize("seeds", ["5-5", "9-5"])
-def test_bench_pairs_refuses_fewer_than_two_seeds_before_any_run(tmp_path, seeds):
+def refused_before_any_run(tmp_path, *args) -> str:
+    """The stderr of a ``bench_pairs`` run that must exit 2 without writing anything."""
     # neither directory holds a benchmark: a run started there would fail with exit 1
     out = tmp_path / "BENCH.json"
     done = subprocess.run(
         [sys.executable, str(BENCH_PAIRS), "--parent", str(tmp_path), "--label", "x",
-         "--seeds", seeds, "--out", str(out)],
+         *args, "--out", str(out)],
         cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2, done.stderr
-    assert f"--seeds {seeds} names fewer than two seeds" in done.stderr
     assert done.stdout == ""
     assert not out.exists()
+    return done.stderr
+
+
+@pytest.mark.parametrize("seeds", ["5-5", "9-5"])
+def test_bench_pairs_refuses_fewer_than_two_seeds_before_any_run(tmp_path, seeds):
+    stderr = refused_before_any_run(tmp_path, "--parent-commit", "0" * 40, "--seeds", seeds)
+    assert f"--seeds {seeds} names fewer than two seeds" in stderr
+
+
+@pytest.mark.parametrize("seeds", ["5", "a-b", "1-2-3", "-5"])
+def test_bench_pairs_refuses_seeds_that_are_not_two_integers(tmp_path, seeds):
+    stderr = refused_before_any_run(tmp_path, "--parent-commit", "0" * 40, f"--seeds={seeds}")
+    assert f"--seeds {seeds} is not two integers first-last" in stderr
+
+
+def test_bench_pairs_requires_the_parent_commit(tmp_path):
+    stderr = refused_before_any_run(tmp_path, "--seeds", "1-2")
+    assert "the following arguments are required: --parent-commit" in stderr

@@ -2,8 +2,8 @@
 """Paired benchmark runs of a parent checkout and a change, written as one BENCH file.
 
     git archive <parent-commit> | tar -x -C ../parent
-    python3 tools/bench_pairs.py --parent ../parent --label <label> \\
-        --seeds <first>-<last> --out BENCH_<label>.json
+    python3 tools/bench_pairs.py --parent ../parent --parent-commit <parent-commit> \\
+        --label <label> --seeds <first>-<last> --out BENCH_<label>.json
 
 The current directory is the change's checkout.  Each pair runs
 ``perfbench/run.py --workload W --seed N --trace 0`` for every workload on
@@ -20,7 +20,8 @@ Every process runs BLAS on one thread.
 ``walk.Program``: it times the compile of each program the workloads
 build, and a checkout without ``walk.Program`` records none.  A sweep
 and a qinput time the machine's one program, ``Machine._final_walk``.
-``--seeds`` must name at least two seeds, since the summary takes quartiles.
+``--seeds`` must be two integers ``first-last`` naming at least two seeds,
+since the summary takes quartiles.
 """
 
 from __future__ import annotations
@@ -113,11 +114,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--parent-commit", help="recorded as the parent's commit")
+    parser.add_argument("--parent-commit", required=True, help="recorded as the parent's commit")
     parser.add_argument("--seeds", required=True, help="first-last, one seed per pair")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    first, last = map(int, args.seeds.split("-"))
+    try:
+        first, last = map(int, args.seeds.split("-"))
+    except ValueError:
+        parser.error(f"--seeds {args.seeds} is not two integers first-last")
     if last <= first:
         parser.error(f"--seeds {args.seeds} names fewer than two seeds")
     sides = {"parent": args.parent.resolve(), "change": Path.cwd()}
