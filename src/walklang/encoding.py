@@ -157,10 +157,10 @@ def encode_chunks(machine, first, second, eta) -> Iterator[np.ndarray]:
     first, second = np.asarray(first), np.asarray(second)
     eta = np.asarray(eta, dtype=np.complex128)
     n = machine.word_length
-    _check_length(machine, first.shape[-1])
-    rows = len(first)
-    if first.shape != (rows, n) or second.shape != first.shape:
+    if first.ndim != 2 or second.shape != first.shape:
         raise ValueError(f"symbol matrices of shapes {first.shape} and {second.shape}")
+    _check_length(machine, first.shape[1])
+    rows = len(first)
     if eta.shape != (rows,):
         raise ValueError(f"eta has shape {eta.shape}, wanted ({rows},)")
     if not all(s.dtype.kind in "biu" and ((s == 0) | (s == 1)).all() for s in (first, second)):

@@ -7,7 +7,7 @@ blocks and then the shift permutation; ``T`` steps of a walk starting
 from ``psi`` are ``evolve(psi, coins, T)``, the one-row call of a
 :class:`Program`, which steps a batch of rows, each read on the input
 ports, at once: the steps compiled once into gemvs over the forward light
-cone of the input ports, permutation moves as renames.
+cone of the input ports, moves as renames that end with port p in column p.
 
 Everything here is pure: state amplitudes and coin blocks are arrays over
 immutable buffers and each operation returns a new state, so walks over a
@@ -193,18 +193,19 @@ class Program:
 
     Called on ``(B, len(inputs))`` rows, column j port ``inputs[j]`` (no port
     twice), it returns the C-contiguous ``(B, P)`` amplitudes of every port.
-    Each port lives in a register, a column of a ``(B, P)`` workspace that
-    starts as the rows then zeros, and a permutation move renames them, once.
-    A mixing vertex is one ``(d, d) @ (d,)`` gemv per row, written back
-    into its registers, at each step where the inputs reach one of its
+    Each port lives in a register, a column of a ``(B, P)`` zero workspace
+    that the rows are scattered into, and a permutation move renames them,
+    once; the registers are numbered so that the moves end with port p in
+    column p.  A mixing vertex is one ``(d, d) @ (d,)`` gemv per row, written
+    back into its registers, at each step where the inputs reach one of its
     ports.  A port outside that cone may hold ``+0.0`` where a step-by-step
     walk holds ``-0.0`` (equal under ``np.array_equal``).  Once the inputs
     reach every port, the steps left are one stored step, repeated: every
-    mixing gemv on registers laid out by port, then one gather for the
-    moves.  So a program's size does not grow with ``steps``.
+    mixing gemv on the port columns, then one gather for the moves.  So a
+    program's size does not grow with ``steps``.
     """
 
-    __slots__ = ("_ports", "_inputs", "_events", "_layout", "_loops", "_steady")
+    __slots__ = ("_ports", "_inputs", "_events", "_loops", "_steady")
 
     def __init__(self, coins: CoinAssignment, steps: int, inputs):
         _check_steps(steps)
@@ -214,8 +215,7 @@ class Program:
         reach[inputs] = True
         if np.count_nonzero(reach) < len(inputs):
             raise ValueError(f"program inputs repeat port {np.bincount(inputs).argmax()}")
-        # input j in register j, then the other ports in order
-        reg = np.argsort(np.concatenate([inputs, np.flatnonzero(~reach)]))
+        reg = np.arange(ports)
         for t in range(steps):
             if reach.all():  # and so at every later step
                 loops = steps - t
@@ -229,9 +229,10 @@ class Program:
                                    else stack[keep]))
                     reach[idx[keep]] = True
             reg, reach = reg[route], reach[route]
-        self._ports, self._inputs, self._events = ports, inputs, tuple(events)
-        # the registers laid out by port (port p in column p), then the steady step repeated
-        self._layout, self._loops = reg, loops
+        # number the registers once so that port p ends in column p
+        column = np.argsort(reg)
+        self._ports, self._inputs, self._loops = ports, column[inputs], loops
+        self._events = tuple((column[regs], blocks) for regs, blocks in events)
         self._steady = kernel, route
 
     def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
@@ -240,10 +241,9 @@ class Program:
             raise ValueError(f"amplitudes have shape {amps.shape}, "
                              f"program reads {len(self._inputs)} input ports")
         work = np.zeros((len(amps), self._ports), dtype=np.complex128)
-        work[:, :len(self._inputs)] = amps
+        work[:, self._inputs] = amps
         for regs, blocks in self._events:
             work[:, regs] = (blocks @ work.take(regs, axis=1)[..., None])[..., 0]
-        work = work.take(self._layout, axis=1)
         kernel, route = self._steady
         for _ in range(self._loops):
             for idx, stack in kernel:

@@ -244,6 +244,11 @@ def test_encode_rejects_bad_arguments():
     rows = symbols(machine, ["aabb", "abab"])
     with pytest.raises(ValueError, match="length 4, got 3"):
         slot_rows(machine, rows[:, :3], rows[:, :3], np.ones(2))
+    # a matrix of another rank, 0-d too, or a second one of another shape
+    for first, second in ((rows[0, 0], rows[0, 0]), (rows[0], rows[0]), (rows[None], rows[None]),
+                          (rows, rows[:1]), (rows, rows[:, :3])):
+        with pytest.raises(ValueError, match="^symbol matrices of shapes "):
+            slot_rows(machine, first, second, np.ones(2))
     with pytest.raises(ValueError, match="eta has shape"):
         slot_rows(machine, rows, rows, np.ones(3))
     with pytest.raises(ValueError, match="0 \\(a\\) and 1 \\(b\\)"):

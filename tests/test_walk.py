@@ -293,31 +293,63 @@ def test_a_long_program_keeps_one_register_per_port():
         # the mixer runs at nearly every step: in the repeated steady step once
         # the inputs reach every port, else in one event per step
         assert program._loops + len(program._events) >= 9_000
-        used = np.concatenate([program._layout, *(regs.ravel() for regs, _ in program._events)])
-        # the workspace has one register per port, so it is at most P + 1 wide
+        used = np.concatenate([program._inputs, *(regs.ravel() for regs, _ in program._events)])
+        # the workspace has one register per port, so it is P wide
         assert 0 <= used.min() and used.max() < ports
-        assert sorted(program._layout.tolist()) == every.tolist()
+        assert len(np.unique(program._inputs)) == len(inputs)
         final = program(state.amplitudes[None, inputs])
         assert final.shape == (1, ports)
         assert np.array_equal(final[0], reference_evolve(state, cs, 10_000))
-    # every port input: all steps are the steady one, on registers laid out by port
+    # every port input: all steps are the steady one, port p in column p throughout
     program = Program(cs, 10_000, every)
     assert program._loops == 10_000 and program._events == ()
     assert program._steady[0] is cs._kernel  # every mixing class
-    assert program._layout.tolist() == every.tolist()
+    assert program._inputs.tolist() == every.tolist()
 
 
 def test_a_program_enters_its_steady_step_part_way():
     # on an odd cycle one input port reaches every port after a few steps
     g = PortGraph([(v, (v + 1) % 5) for v in range(5)])
     cs = CoinAssignment.by_degree(g, lambda d: coins.hadamard())
-    every, state = np.arange(g.num_ports), basis_state(g, 0, 0)
+    state = basis_state(g, 0, 0)
     inputs = [g.state_index(0, 0)]
     program = Program(cs, 40, inputs)
     assert program._events and 0 < program._loops < 40
-    assert program._layout.tolist() != every.tolist()
+    # the moves end with port p in column p, so the input starts in another column
+    assert program._inputs.tolist() != inputs
     final = program(state.amplitudes[None, inputs])[0]
     assert np.array_equal(final, reference_evolve(state, cs, 40))
+
+
+program_graphs = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+@given(program_graphs, st.integers(0, 14), st.integers(1, 40))
+@example((5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 3), 2, 1)  # events only
+@example((5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 0), 14, 1)  # events, then the loop
+@example((3, [(0, 1), (1, 2)], 5), 9, 40)  # every port: the loop only
+@settings(max_examples=300, deadline=None)
+def test_a_program_numbers_its_registers_so_the_moves_end_on_the_ports(case, steps, size):
+    n, edges, seed = case
+    g = graph_from_edges(n, edges)
+    rng = np.random.default_rng(seed)
+    cs = CoinAssignment(g, [permutation_coin(rng, g.degree(v), rng.integers(0, 4))
+                            for v in g.vertices])
+    inputs = rng.permutation(g.num_ports)[:size]  # in any order, every port if size >= P
+    rows = rng.normal(size=(3, len(inputs))) + 1j * rng.normal(size=(3, len(inputs)))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    final = Program(cs, steps, inputs)(rows)
+    assert final.shape == (3, g.num_ports) and final.flags.c_contiguous
+    for row, got in zip(rows, final):
+        amps = np.zeros(g.num_ports, dtype=np.complex128)
+        amps[inputs] = row
+        assert np.array_equal(got, reference_evolve(WalkState(g, amps), cs, steps))
 
 
 def test_a_program_does_not_grow_with_its_steps():

@@ -18,8 +18,8 @@ Every process runs BLAS on one thread.
 
 ``COMPILE_TIMES`` is specific to the light-cone programs of
 ``walk.Program``: it times the compile of each program the workloads
-build, and a checkout without ``walk.Program`` records none.  A sweep
-and a qinput time the machine's one program, ``Machine._final_walk``.
+build.  A sweep and a qinput time the machine's one program,
+``Machine._final_walk``.
 ``--seeds`` must be two integers ``first-last`` naming at least two seeds,
 since the summary takes quartiles.
 """
@@ -57,24 +57,22 @@ def ms(make, reps=15):
     return round(statistics.median(times) * 1e3, 4)
 
 out = {}
-if hasattr(walk, "Program"):
-    program = machines.Machine._final_walk.func
+program = machines.Machine._final_walk.func
 
-    def every_port(coins, steps):
-        every = np.arange(coins.graph.num_ports)
-        return lambda: walk.Program(coins, steps, every)
+def every_port(coins, steps):
+    every = np.arange(coins.graph.num_ports)
+    return lambda: walk.Program(coins, steps, every)
 
-    for n in range(1, 13):
-        m = machines.machine_for_length("seq-eq", n)
-        out[f"sweep-seq: seq-eq n={n}, machine program, {m.steps} steps"] = ms(
-            lambda: program(m))
-    m = machines.machine_for_length("spatial-eq", 8)
-    out["qinput: spatial-eq n=8, machine program"] = ms(lambda: program(m))
-    out["qinput: spatial-eq n=8, reference evolve"] = ms(every_port(m.coins, m.steps))
-    m = machines.sequential_ab(4)
-    out["verify: seq-ab n=4, every port, 10^4 steps"] = ms(every_port(m.coins, 10_000), reps=3)
-    m = machines.spatial_eq(500)
-    out["replay: spatial-eq n=1000, every port, 3 steps"] = ms(every_port(m.coins, 3), reps=5)
+for n in range(1, 13):
+    m = machines.machine_for_length("seq-eq", n)
+    out[f"sweep-seq: seq-eq n={n}, machine program, {m.steps} steps"] = ms(lambda: program(m))
+m = machines.machine_for_length("spatial-eq", 8)
+out["qinput: spatial-eq n=8, machine program"] = ms(lambda: program(m))
+out["qinput: spatial-eq n=8, reference evolve"] = ms(every_port(m.coins, m.steps))
+m = machines.sequential_ab(4)
+out["verify: seq-ab n=4, every port, 10^4 steps"] = ms(every_port(m.coins, 10_000), reps=3)
+m = machines.spatial_eq(500)
+out["replay: spatial-eq n=1000, every port, 3 steps"] = ms(every_port(m.coins, 3), reps=5)
 print(json.dumps(out))
 """
 
