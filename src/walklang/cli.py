@@ -125,15 +125,15 @@ def _qinput_blocks(base: str, family: str, eta_points: int) -> Iterator[str]:
     machine = machines.machine_for_length(family, n)
     row = encoding.symbols(machine, [base])
     # the base's final state, from the same program as every row below
-    final = next(machines.final_amplitudes(machine, row, row, np.ones(1)))
+    final = next(machines.final_amplitudes(machine, row, row, etas=[1.0]))
     reference = WalkState(machine.graph, final[0])
     etas = np.linspace(0.0, 1.0, eta_points)
     eta_text = [_fmt(eta) for eta in etas.tolist()]
     others = [w2 for w2 in encoding.words_of_length(n) if w2 != base]
-    # one row per (w2, eta), w2-major, evolved a chunk at a time
-    first = np.broadcast_to(row, (len(others) * eta_points, n))
-    second = np.repeat(encoding.symbols(machine, others), eta_points, axis=0)
-    finals = machines.final_amplitudes(machine, first, second, np.tile(etas, len(others)))
+    # the base against each w2, by every eta: w2-major rows, evolved a chunk at a time
+    second = encoding.symbols(machine, others)
+    finals = machines.final_amplitudes(machine, np.broadcast_to(row, second.shape), second,
+                                       etas=etas)
     # the grid repeats few values, and a chunk's are almost all distinct
     fidelities = iter(_fmt_each(np.concatenate(
         [metrics.fidelity(reference, final) for final in finals])))

@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .graph import _is_id
+
 __all__ = [
     "NonUnitaryError",
     "unitarity_defect",
@@ -111,8 +113,7 @@ def permutation(perm: Sequence[int]) -> np.ndarray:
     d = len(perm)
     if d < 1:
         raise ValueError("permutation coin needs dimension >= 1, got 0")
-    seen = sorted(perm)
-    if seen != list(range(d)):
+    if not all(map(_is_id, perm)) or sorted(perm) != list(range(d)):
         raise ValueError(f"{list(perm)!r} is not a permutation of 0..{d - 1}")
     m = np.zeros((d, d), dtype=np.complex128)
     for i, j in enumerate(perm):

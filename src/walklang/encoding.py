@@ -14,14 +14,14 @@ they agree the slot is loaded classically, where they differ the first
 word's slot gets ``alpha * eta`` and the second word's slot gets
 ``alpha * sqrt(1 - |eta|^2)``.
 
-:func:`encode_chunks` loads a whole grid ``CHUNK`` rows at a time, from
-``(B, n)`` symbol matrices (0 for ``a``, 1 for ``b``) and a ``(B,)`` eta
-vector, checking the grid and each slot pair's norm once.  It works in
-input-slot coordinates: each row holds the 2n slot amplitudes, symbol s
-at position k in column ``2k + s``, the order of
-``np.ravel(machine.slot_indices)`` and so of the inputs the machine's
-program reads.  :func:`initial_state` and :func:`quantum_initial_state`
-are one-row calls that spread the slot row onto the graph's ports.
+:func:`encode_chunks` loads a grid ``CHUNK`` rows at a time from its
+factors, the ``(W, n)`` symbol matrices (0 for ``a``, 1 for ``b``) of W word
+pairs and E etas, row ``w * E + e`` for pair w at eta e, each slot pair's
+norm checked once.  It works in input-slot coordinates: each row holds the
+2n slot amplitudes, symbol s at position k in column ``2k + s``, the order
+of ``np.ravel(machine.slot_indices)`` and so of the inputs the machine's
+program reads.  :func:`initial_state` and :func:`quantum_initial_state` are
+one-row calls that spread the slot row onto the graph's ports.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def quantum_initial_state(machine, w1: str, w2: str, eta: complex) -> WalkState:
     The :func:`encode_chunks` row is spread onto its ports, and the norm
     checked there: a forged slot table whose positions share a port fails.
     """
-    slots = next(encode_chunks(machine, symbols(machine, [w1]), symbols(machine, [w2]), [eta]))
+    slots = next(encode_chunks(machine, *symbols(machine, [w1, w2])[:, None], etas=[eta]))
     amps = np.zeros(machine.graph.num_ports, dtype=np.complex128)
     amps[np.ravel(machine.slot_indices)] = slots[0]
     return WalkState(machine.graph, amps)
@@ -142,41 +142,39 @@ def symbols(machine, words: Sequence[str]) -> np.ndarray:
     return codes.reshape(len(words), n)
 
 
-def encode_chunks(machine, first, second, eta) -> Iterator[np.ndarray]:
-    """``(rows, 2n)`` slot amplitudes from ``(B, n)`` symbol matrices, ``CHUNK`` rows at a time.
+def encode_chunks(machine, first, second, *, etas) -> Iterator[np.ndarray]:
+    """``(W * E, 2n)`` slot amplitudes of W word pairs by E etas, ``CHUNK`` rows at a time.
 
-    Row b superposes the words ``first[b]`` and ``second[b]`` with weight
-    ``eta[b]``; column ``2k + s`` is symbol s's slot at position k.  A
-    position where they agree gets ``alpha = 1/sqrt(n)`` on its slot; where
-    they differ, the first word's slot gets ``alpha * eta`` and the second
-    word's slot ``alpha * sqrt(1 - |eta|^2)``, each added onto zero.  Before
-    the first chunk the grid is checked, a position's two slots computed
-    per distinct eta and symbol pair, and that table's norms checked; each
+    From ``(W, n)`` symbol matrices and a 1-D ``etas``, row r superposes the
+    words ``first[r // E]`` and ``second[r // E]`` with weight ``etas[r % E]``;
+    column ``2k + s`` is symbol s's slot at position k.  A position where
+    they agree gets ``alpha = 1/sqrt(n)`` on its slot; where they differ, the
+    first word's slot gets ``alpha * eta`` and the second word's slot
+    ``alpha * sqrt(1 - |eta|^2)``, each added onto zero.  Before the first
+    chunk the factors are checked, a position's two slots computed per eta
+    (repeats included) and symbol pair, and that table's norms checked; each
     chunk only looks its slots up.  No rows make one empty chunk.
     """
     first, second = np.asarray(first), np.asarray(second)
-    eta = np.asarray(eta, dtype=np.complex128)
+    etas = np.asarray(etas, dtype=np.complex128)
     n = machine.word_length
-    if first.ndim != 2 or second.shape != first.shape:
-        raise ValueError(f"symbol matrices of shapes {first.shape} and {second.shape}")
+    if first.ndim != 2 or second.shape != first.shape or etas.ndim != 1:
+        raise ValueError(f"symbol matrices of shapes {first.shape} and {second.shape}, "
+                         f"etas of shape {etas.shape}")
     _check_length(machine, first.shape[1])
-    rows = len(first)
-    if eta.shape != (rows,):
-        raise ValueError(f"eta has shape {eta.shape}, wanted ({rows},)")
     if not all(s.dtype.kind in "biu" and ((s == 0) | (s == 1)).all() for s in (first, second)):
         raise ValueError("symbol matrices may only hold integer 0 (a) and 1 (b)")
-    bad = np.flatnonzero(~(np.abs(eta) <= ETA_BOUND))
+    bad = np.flatnonzero(~(np.abs(etas) <= ETA_BOUND))
     if bad.size:
-        raise ValueError(f"|eta| must be <= 1, got {abs(complex(eta[bad[0]]))}")
+        raise ValueError(f"|eta| must be <= 1, got {abs(complex(etas[bad[0]]))}")
 
     alpha = 1.0 / math.sqrt(n)
-    # per distinct eta, the first and the second word's weight where they differ;
+    # per eta, the first and the second word's weight where they differ;
     # Python's abs and ** round some values differently from numpy's
-    values, which = np.unique(eta, return_inverse=True)
-    weight1 = alpha * values
-    weight2 = np.array([alpha * math.sqrt(max(0.0, 1.0 - abs(e) ** 2)) for e in values.tolist()])
+    weight1 = alpha * etas
+    weight2 = np.array([alpha * math.sqrt(max(0.0, 1.0 - abs(e) ** 2)) for e in etas.tolist()])
     # slots[e, 2 * s1 + s2]: the (a, b) slots of a position reading s1, s2; each is 0 + its load
-    slots = np.zeros((len(values), 4, 2), dtype=np.complex128)
+    slots = np.zeros((len(etas), 4, 2), dtype=np.complex128)
     slots[:, [0, 3], [0, 1]] += alpha
     slots[:, [1, 2], [0, 1]] += weight1[:, None]
     slots[:, [1, 2], [1, 0]] += weight2[:, None]
@@ -186,6 +184,8 @@ def encode_chunks(machine, first, second, eta) -> Iterator[np.ndarray]:
     bad = np.flatnonzero(~(np.abs(squares - 1.0) <= NORM_GUARD))
     if bad.size:
         raise ValueError(f"state is not normalised (norm {float(np.sqrt(squares.flat[bad[0]]))})")
+    pairs, rows = 2 * first + second, len(first) * len(etas)
     for lo in range(0, max(rows, 1), CHUNK):
-        cells = 4 * which[lo:lo + CHUNK, None] + 2 * first[lo:lo + CHUNK] + second[lo:lo + CHUNK]
+        w, e = np.divmod(np.arange(lo, min(lo + CHUNK, rows)), len(etas))
+        cells = 4 * e[:, None] + pairs[w]
         yield slots.reshape(-1, 2).take(cells, axis=0).reshape(len(cells), 2 * n)

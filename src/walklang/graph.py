@@ -123,9 +123,9 @@ class PortGraph:
         return int(self._offsets[self._vertex(v)])
 
     def state_index(self, v: int, c: int) -> int:
-        if not 0 <= c < self.degree(v):
+        if not (_is_id(c) and 0 <= c < self.degree(v)):
             raise ValueError(f"invalid port ({v}, {c})")
-        return self.offset(v) + c
+        return self.offset(v) + int(c)
 
     def shift_permutation(self) -> np.ndarray:
         """Read-only, self-inverse permutation of flat indices realising the shift."""

@@ -437,28 +437,28 @@ def word_acceptance(machine: Machine, word: str) -> float:
     return sum(vertex_probability(final, v) for v in machine.accepting)
 
 
-def final_amplitudes(machine: Machine, first, second, eta) -> Iterator[np.ndarray]:
+def final_amplitudes(machine: Machine, first, second, *, etas) -> Iterator[np.ndarray]:
     """Run each chunk of :func:`encoding.encode_chunks` through the machine's one program.
 
-    The grid is checked whole before the first chunk.  Yields, for each
-    chunk in order, the C-contiguous ``(rows, ports)`` amplitudes of every
-    port after ``machine.steps``.
+    The ``(W, n)`` word pairs by the E ``etas`` are checked before the first
+    chunk.  Yields, for each chunk of the w-major grid in order, the
+    C-contiguous ``(rows, ports)`` amplitudes of every port after ``machine.steps``.
     """
-    for amps in encoding.encode_chunks(machine, first, second, eta):
+    for amps in encoding.encode_chunks(machine, first, second, etas=etas):
         yield machine._final_walk(amps)
 
 
 def acceptances(machine: Machine, words: Sequence[str]) -> np.ndarray:
     """:func:`word_acceptance` of every word, in order, bit for bit.
 
-    The rows run through :func:`final_amplitudes`, the program qinput runs.
-    Each accepting vertex is measured on every row through its port range,
-    and the rows are summed from 0 in ``accepting`` order, as
-    :func:`word_acceptance` does.
+    Each word, paired with itself at the one eta 1, runs through
+    :func:`final_amplitudes`, the program qinput runs.  Each accepting vertex
+    is measured on every row through its port range, and the rows are summed
+    from 0 in ``accepting`` order, as :func:`word_acceptance` does.
     """
     graph, rows = machine.graph, encoding.symbols(machine, words)
     ranges = [(graph.offset(v), graph.offset(v) + graph.degree(v)) for v in machine.accepting]
-    finals = final_amplitudes(machine, rows, rows, np.ones(len(rows)))
+    finals = final_amplitudes(machine, rows, rows, etas=[1.0])
     return np.concatenate([sum((vertex_masses(final[:, a:b]) for a, b in ranges),
                                np.zeros(len(final))) for final in finals])
 

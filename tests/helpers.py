@@ -126,9 +126,14 @@ def reference_jaro(words: list[str], reference: str) -> np.ndarray:
     return (s / n + s / size + (s - t) / np.maximum(s, 1.0)) / 3.0
 
 
-def slot_rows(machine, first, second, eta) -> np.ndarray:
-    """Every ``(rows, 2n)`` slot row of ``encoding.encode_chunks``, its chunks concatenated."""
-    return np.concatenate(list(encode_chunks(machine, first, second, eta)))
+def slot_rows(machine, first, second, *, etas) -> np.ndarray:
+    """Every ``(W * E, 2n)`` slot row of ``encoding.encode_chunks``, its chunks concatenated."""
+    return np.concatenate(list(encode_chunks(machine, first, second, etas=etas)))
+
+
+def diagonal(pairs: int) -> np.ndarray:
+    """The rows of a w-major ``pairs`` by ``pairs`` grid that read pair k at eta k."""
+    return np.arange(pairs) * (pairs + 1)
 
 
 def spread(machine, slots: np.ndarray) -> np.ndarray:

@@ -237,7 +237,7 @@ def test_qinput_reference_is_the_evolved_member():
     for machine in [*built, sequential_word("abba")]:
         base, n = machine.member, machine.word_length
         row = symbols(machine, [base])
-        final = next(final_amplitudes(machine, row, row, np.ones(1)))[0]
+        final = next(final_amplitudes(machine, row, row, etas=[1.0]))[0]
         evolved = evolve(initial_state(machine, base), machine.coins, machine.steps).amplitudes
         assert np.array_equal(final, evolved), (machine.family, n)
         # only the sign of a zero outside the forward cone may differ
@@ -245,10 +245,11 @@ def test_qinput_reference_is_the_evolved_member():
         assert not final.view(np.float64)[differ].any()
         # qinput's rows for five etas: the fidelities against either are the same bits
         others = [w for w in words_of_length(n) if w != base]
-        first = np.broadcast_to(row, (5 * len(others), n))
-        second = np.repeat(symbols(machine, others), 5, axis=0)
-        eta = np.tile(np.linspace(0.0, 1.0, 5), len(others))
-        rows = np.concatenate(list(final_amplitudes(machine, first, second, eta)))
+        second = symbols(machine, others)
+        first = np.broadcast_to(row, second.shape)
+        etas = np.linspace(0.0, 1.0, 5)
+        rows = np.concatenate(list(final_amplitudes(machine, first, second, etas=etas)))
+        assert len(rows) == 5 * len(others)
         expected = fidelity(WalkState(machine.graph, evolved), rows)
         assert fidelity(WalkState(machine.graph, final), rows).tobytes() == expected.tobytes()
 

@@ -119,8 +119,16 @@ def test_permutation_routes_ports():
 
 
 def test_permutation_rejects_non_permutation():
-    with pytest.raises(ValueError):
-        coins.permutation([0, 0, 1])
+    # a repeat, an entry out of range, or an entry that is not an integer id: a bool
+    # or a float is none even where the entries sort to 0..d-1
+    for perm in ([0, 0, 1], [0, 2], [False, True], [1.0, 0.0], [np.True_, 0], [0, 1.5],
+                 ["0", "1"]):
+        with pytest.raises(ValueError, match=r"is not a permutation of 0\.\.\d$"):
+            coins.permutation(perm)
+    # numpy integers are entries
+    taken = coins.permutation([np.int64(1), np.uint8(0)])
+    assert np.array_equal(taken, coins.permutation([1, 0]))
+    assert coins.unitarity_defect(taken) == 0.0
 
 
 def custom_coins(block) -> CoinAssignment:

@@ -1,10 +1,11 @@
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from walklang import (
     enumerate_words,
@@ -23,7 +24,7 @@ from walklang.encoding import CHUNK, check_word, encode_chunks, symbols, words_o
 from walklang.machines import FAMILIES, Machine, acceptances
 from walklang.walk import CoinAssignment, Program
 
-from helpers import all_words, reference_load, slot_rows, spread
+from helpers import all_words, diagonal, reference_load, slot_rows, spread
 
 def amplitude(state, v: int, c: int) -> complex:
     return complex(state.amplitudes[state.graph.state_index(v, c)])
@@ -207,14 +208,16 @@ etas = st.one_of(
 )
 @settings(max_examples=150, deadline=None)
 def test_encode_matches_the_per_word_loop_bit_for_bit(family, rows):
-    w1s, w2s, eta = zip(*rows)
+    w1s, w2s, etas = zip(*rows)
     machine = machine_for_length(family, len(w1s[0]))
+    # every drawn pair at every drawn eta; the drawn rows are the diagonal
     slots = slot_rows(machine, symbols(machine, w1s), symbols(machine, w2s),
-                      np.array(eta, dtype=np.complex128))
-    assert slots.shape == (len(rows), 2 * machine.word_length)
+                      etas=np.array(etas, dtype=np.complex128))
+    assert slots.shape == (len(rows) ** 2, 2 * machine.word_length)
     got = spread(machine, slots)
-    for k, row in enumerate(rows):
-        assert got[k].tobytes() == reference_load(machine, *row).tobytes()
+    for k, (w, e) in enumerate(itertools.product(range(len(rows)), repeat=2)):
+        load = reference_load(machine, w1s[w], w2s[w], etas[e])
+        assert got[k].tobytes() == load.tobytes(), (w, e)
     single = quantum_initial_state(machine, *rows[0])
     assert single.amplitudes.tobytes() == got[0].tobytes()
     classical = initial_state(machine, w1s[0])
@@ -243,23 +246,33 @@ def test_encode_rejects_bad_arguments():
     machine = spatial_eq(2)
     rows = symbols(machine, ["aabb", "abab"])
     with pytest.raises(ValueError, match="length 4, got 3"):
-        slot_rows(machine, rows[:, :3], rows[:, :3], np.ones(2))
+        slot_rows(machine, rows[:, :3], rows[:, :3], etas=[1.0])
     # a matrix of another rank, 0-d too, or a second one of another shape
     for first, second in ((rows[0, 0], rows[0, 0]), (rows[0], rows[0]), (rows[None], rows[None]),
                           (rows, rows[:1]), (rows, rows[:, :3])):
         with pytest.raises(ValueError, match="^symbol matrices of shapes "):
-            slot_rows(machine, first, second, np.ones(2))
-    with pytest.raises(ValueError, match="eta has shape"):
-        slot_rows(machine, rows, rows, np.ones(3))
+            slot_rows(machine, first, second, etas=[1.0])
+    # etas of no dimension or of two, of any length
+    for etas, shape in ((1.0, "()"), (np.ones(()), "()"), (np.ones((2, 1)), "(2, 1)"),
+                        ([[0.5, 1.0]], "(1, 2)"), (np.ones((0, 3)), "(0, 3)")):
+        message = f"symbol matrices of shapes (2, 4) and (2, 4), etas of shape {shape}"
+        with pytest.raises(ValueError) as raised:
+            next(encode_chunks(machine, rows, rows, etas=etas))
+        assert str(raised.value) == message
+    # etas only by name: a per-row eta vector given by position is refused
+    with pytest.raises(TypeError):
+        encode_chunks(machine, rows, rows, np.ones(2))
     with pytest.raises(ValueError, match="0 \\(a\\) and 1 \\(b\\)"):
-        slot_rows(machine, rows, rows + 1, np.ones(2))
+        slot_rows(machine, rows, rows + 1, etas=[1.0])
     # a float 0.0 or 1.0 is no symbol either
     for floats in ((rows.astype(float), rows), (rows, rows.astype(np.float32))):
         with pytest.raises(ValueError, match="0 \\(a\\) and 1 \\(b\\)"):
-            slot_rows(machine, *floats, np.ones(2))
+            slot_rows(machine, *floats, etas=[1.0])
+    # a bad eta anywhere, past the first chunk too, is refused before the first chunk
     for eta in (1.5, float("nan")):
-        with pytest.raises(ValueError, match=r"\|eta\| must be <= 1"):
-            slot_rows(machine, rows, rows[::-1], np.array([0.5, eta]))
+        for etas in ([0.5, eta], [eta, 0.5], [0.5] * CHUNK + [eta]):
+            with pytest.raises(ValueError, match=r"\|eta\| must be <= 1"):
+                next(encode_chunks(machine, rows, rows[::-1], etas=np.array(etas)))
 
 
 def test_encode_guards_the_norm_of_every_row(monkeypatch):
@@ -273,7 +286,7 @@ def test_encode_guards_the_norm_of_every_row(monkeypatch):
     # their rails, so "aa" and "bb" load one port twice
     object.__setattr__(machine, "slot_indices", ((0, 1), (0, 1)))
     assert np.linalg.norm(slot_rows(machine, *[symbols(machine, ["ab", "ba"])] * 2,
-                                    np.ones(2)), axis=1) == pytest.approx(1.0)
+                                    etas=[1.0]), axis=1) == pytest.approx(1.0)
     # slot columns never share a port, so the program that reads them refuses the table
     with pytest.raises(ValueError, match="program inputs repeat port 0$"):
         acceptances(machine, ["ab", "bb"])
@@ -290,10 +303,10 @@ def test_encode_guards_the_norm_of_every_row(monkeypatch):
     rows = symbols(plain, ["aabb", "abab"])
     monkeypatch.setattr(encoding, "math", SimpleNamespace(sqrt=lambda x: 2 * math.sqrt(x)))
     with pytest.raises(ValueError, match=r"not normalised \(norm 0\.5\)"):
-        slot_rows(plain, rows, rows, np.ones(2))
+        slot_rows(plain, rows, rows, etas=[1.0])
     # by checking its slot table before the first chunk of a grid of several
     grid = np.tile(rows, (CHUNK, 1))
-    chunks = encode_chunks(plain, grid, grid, np.ones(len(grid)))
+    chunks = encode_chunks(plain, grid, grid, etas=[1.0])
     with pytest.raises(ValueError, match=r"not normalised \(norm 0\.5\)"):
         next(chunks)
     assert list(chunks) == []
@@ -308,31 +321,86 @@ def test_encode_guards_the_norm_of_every_row(monkeypatch):
 )
 @settings(max_examples=100, deadline=None)
 def test_encode_chunks_are_encode_cut_into_rows(family, rows):
-    w1s, w2s, eta = zip(*rows)
+    w1s, w2s, etas = zip(*rows)
     machine = machine_for_length(family, len(w1s[0]))
-    # the same eta given twice, once with a negative zero, makes one distinct value
+    # the same eta given twice, once with a negative zero, loads the same bits
     w1s, w2s = [*w1s, w1s[0]], [*w2s, w2s[0]]
-    eta = np.array([*eta, complex(-0.0, eta[0].imag)], dtype=np.complex128)
+    etas = np.array([*etas, complex(-0.0, etas[0].imag)], dtype=np.complex128)
     first, second = symbols(machine, w1s), symbols(machine, w2s)
-    loads = [reference_load(machine, *row) for row in zip(w1s, w2s, eta)]
-    # the drawn rows tiled to one row, both sides of one chunk, and two chunks' worth
+    # loads[w, e]: pair w at eta e; the drawn rows are the diagonal
+    loads = np.array([[reference_load(machine, w1s[w], w2s[w], eta) for eta in etas]
+                      for w in range(len(w1s))])
+    # the drawn pairs tiled to one pair, both sides of one chunk, and two chunks' worth,
+    # each pair at every eta
     for total in (1, 63, 64, 65, 130):
         pick = np.arange(total) % len(w1s)
-        chunks = list(encode_chunks(machine, first[pick], second[pick], eta[pick]))
+        chunks = list(encode_chunks(machine, first[pick], second[pick], etas=etas))
         assert [len(c) for c in chunks[:-1]] == [CHUNK] * (len(chunks) - 1)
-        assert len(chunks) == -(-total // CHUNK)
+        assert len(chunks) == -(-total * len(etas) // CHUNK)
         ports = spread(machine, np.concatenate(chunks))
-        assert len(ports) == total
-        for k, row in enumerate(pick):
-            assert ports[k].tobytes() == loads[row].tobytes(), (total, k)
+        assert ports.tobytes() == loads[pick].reshape(len(ports), -1).tobytes(), total
 
 
 def test_encode_of_no_rows_is_empty():
     machine = spatial_eq(2)
-    rows = symbols(machine, [])
-    assert slot_rows(machine, rows, rows, np.ones(0)).shape == (0, 2 * machine.word_length)
-    [chunk] = encode_chunks(machine, rows, rows, np.ones(0))
-    assert chunk.shape == (0, 8)
+    none, rows = symbols(machine, []), symbols(machine, ["aabb", "abab"])
+    # no pairs, no etas, or neither: one empty chunk, with no division by zero
+    for first, etas in ((none, [1.0]), (rows, []), (none, [])):
+        assert slot_rows(machine, first, first, etas=etas).shape == (0, 2 * machine.word_length)
+        [chunk] = encode_chunks(machine, first, first, etas=etas)
+        assert chunk.shape == (0, 8)
+
+
+# unit-modulus etas, whose second-word weight is 0 or rounds near it
+unit_etas = st.floats(0.0, 2 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
+
+
+@given(
+    st.sampled_from(FAMILIES), st.integers(1, 8), st.integers(0, 150),
+    st.lists(st.one_of(etas, unit_etas), max_size=97), st.integers(0, 2**32 - 1),
+)
+# W * E at 0, below, on and above one or several chunks
+@example("seq-eq", 4, 150, [], 0)
+@example("spatial-eq", 3, 0, [0.5] * 97, 1)
+@example("seq-ab", 2, 9, [0.5, 1j, -1.0, 0.0, 0.3, 0.2, 0.1], 2)
+@example("spatial-ab", 5, 64, [-1j], 3)
+@example("seq-eq", 6, 13, [1.0, 0.6, 0.8j, -0.0], 4)
+@example("spatial-eq", 8, 150, [0.5, 0.8040251668887082, 1j] * 32 + [1.0], 5)
+@settings(max_examples=60, deadline=None)
+def test_encode_chunks_are_the_product_of_pairs_and_etas(family, n, pairs, drawn, seed):
+    machine = machine_for_length(family, n)
+    rng = np.random.default_rng(seed)
+    first, second = (rng.integers(0, 2, (pairs, n), dtype=np.uint8) for _ in range(2))
+    w1s, w2s = (["".join("ab"[s] for s in row) for row in m] for m in (first, second))
+    # every third eta once more, so that etas repeat
+    etas = np.array([*drawn, *drawn[::3]], dtype=np.complex128)
+    chunks = list(encode_chunks(machine, first, second, etas=etas))
+    rows = pairs * len(etas)
+    assert len(chunks) == max(1, -(-rows // CHUNK))
+    assert [len(c) for c in chunks[:-1]] == [CHUNK] * (len(chunks) - 1)
+    assert chunks[-1].shape == (rows - CHUNK * (len(chunks) - 1), 2 * n)
+    ports = spread(machine, np.concatenate(chunks))
+    for r in range(rows):
+        w, e = divmod(r, len(etas))
+        load = reference_load(machine, w1s[w], w2s[w], etas[e])
+        assert ports[r].tobytes() == load.tobytes(), (w, e)
+
+
+def test_encode_memory_does_not_grow_with_the_grid():
+    # seq-eq n = 8: its member against the 255 other words, as qinput reads them
+    machine = machine_for_length("seq-eq", 8)
+    second = symbols(machine, [w for w in words_of_length(8) if w != machine.member])
+    first = np.broadcast_to(symbols(machine, [machine.member]), second.shape)
+    peaks = []
+    for points in (11, 1001):
+        etas = np.linspace(0.0, 1.0, points)
+        tracemalloc.start()
+        for _ in encode_chunks(machine, first, second, etas=etas):
+            pass
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # the slot table grows with E; the 255 * E rows are never held at once
+    assert peaks[1] - peaks[0] < 512 * (1001 - 11), peaks
 
 
 def port_rows(machine, first, second, eta) -> np.ndarray:
@@ -360,13 +428,14 @@ def test_slot_rows_spread_onto_the_ports_are_the_port_rows_bit_for_bit(family):
         etas = np.exp(2j * np.pi * rng.random(130)) * rng.random(130)
         etas[:4] = (1.0, 0.0, -0.0, -1.0)
         first, second = symbols(machine, w1s), symbols(machine, w2s)
-        # one row, both sides of one chunk, and two chunks' worth
+        # one pair at one eta, both sides of one chunk's pairs, and two chunks' worth,
+        # each pair at each of as many etas; pair k at eta k is on the diagonal
         for rows in (1, 63, 64, 65, 130):
-            chunks = encode_chunks(machine, first[:rows], second[:rows], etas[:rows])
-            slots = np.concatenate(list(chunks))
-            expected = port_rows(machine, first[:rows], second[:rows], etas[:rows])
+            slots = slot_rows(machine, first[:rows], second[:rows], etas=etas[:rows])
+            expected = port_rows(machine, np.repeat(first[:rows], rows, axis=0),
+                                 np.repeat(second[:rows], rows, axis=0), np.tile(etas[:rows], rows))
             assert spread(machine, slots).tobytes() == expected.tobytes(), (n, rows)
             assert slots.tobytes() == expected[:, np.ravel(machine.slot_indices)].tobytes()
             for k in (0, rows - 1):
                 load = reference_load(machine, w1s[k], w2s[k], etas[k])
-                assert expected[k].tobytes() == load.tobytes(), (n, rows, k)
+                assert expected[diagonal(rows)[k]].tobytes() == load.tobytes(), (n, rows, k)

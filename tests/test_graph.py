@@ -111,6 +111,22 @@ def test_vertex_ids_are_integers_in_edges_and_lookups():
     assert g.state_index(np.int32(1), 2) == 3
 
 
+def test_state_index_refuses_a_port_that_is_not_an_integer_id():
+    g = PortGraph([(0, 1), (1, 1)])
+    # a fraction was returned as a flat index, and a bool read as a port
+    for c in (0.5, 1.0, True, False, np.True_, "0", None, -1, 3):
+        with pytest.raises(ValueError) as raised:
+            g.state_index(1, c)
+        assert str(raised.value) == f"invalid port (1, {c})"
+    assert g.state_index(1, np.int64(2)) == 3 and g.state_index(1, np.uint8(0)) == 1
+    # a numpy port is added to the offset as a Python int: a uint8 one neither wraps
+    # nor overflows past 255
+    wide = PortGraph([(0, 1)] * 300)
+    for c in (np.uint8(2), np.int8(2), np.int64(2)):
+        index = wide.state_index(1, c)
+        assert type(index) is int and index == 302
+
+
 def test_shift_array_is_read_only():
     # a writeable shift let one write pair port 0 with itself, and the walk lose norm
     g = spatial_eq(1).graph

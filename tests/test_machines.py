@@ -31,6 +31,7 @@ from walklang.walk import Program, WalkState, all_vertex_probabilities, vertex_m
 from helpers import (
     all_words,
     closed_form_acceptance,
+    diagonal,
     reference_evolve,
     reference_load,
     reference_vertex_probabilities,
@@ -615,11 +616,16 @@ def test_evolve_batch_rows_match_reference_loop(family):
         every = np.arange(machine.graph.num_ports)
         evolve_rows = Program(machine.coins, machine.steps, every)
         # the every-port program reads the slot rows spread onto the ports
-        single = evolve_rows(spread(machine, slot_rows(machine, first[:1], first[:1], np.ones(1))))
+        single = evolve_rows(spread(machine, slot_rows(machine, first[:1], first[:1], etas=[1.0])))
         assert single.shape == (1, machine.graph.num_ports)
         assert np.array_equal(single[0], classical[0])
-        whole = evolve_rows(spread(machine, slot_rows(machine, first, first, np.ones(len(w1s)))))
-        chunked = np.concatenate(list(final_amplitudes(machine, first, second, etas)))
+        whole = evolve_rows(spread(machine, slot_rows(machine, first, first, etas=[1.0])))
+        # every pair at every eta, over many chunks; pair k at eta k is row k of the loop
+        grid = np.concatenate(list(final_amplitudes(machine, first, second, etas=etas)))
+        assert len(grid) == len(w1s) * len(etas)
+        slots = slot_rows(machine, first, second, etas=etas)
+        assert np.array_equal(grid, evolve_rows(spread(machine, slots))), n
+        chunked = grid[diagonal(len(w1s))]
         for k in range(len(w1s)):
             assert np.array_equal(whole[k], classical[k]), (n, k)
             assert np.array_equal(chunked[k], quantum[k]), (n, k)
@@ -657,7 +663,7 @@ def test_sweep_and_qinput_run_one_program():
         graph, words = machine.graph, all_words(machine.word_length)
         rows = symbols(machine, words)
         # the rows qinput reads for a grid of words against themselves at eta = 1
-        finals = np.concatenate(list(final_amplitudes(machine, rows, rows, np.ones(len(rows)))))
+        finals = np.concatenate(list(final_amplitudes(machine, rows, rows, etas=[1.0])))
         masses = sum((vertex_masses(finals[:, graph.offset(v):graph.offset(v) + graph.degree(v)])
                       for v in machine.accepting), np.zeros(len(rows)))
         assert acceptances(machine, words).tobytes() == masses.tobytes(), machine.family
@@ -695,7 +701,9 @@ def test_programs_match_reference_loop_on_their_measured_ports(family):
         expected = np.array(reference_rows(machine, w1s, w2s, etas))
         classical = np.array(reference_rows(machine, w1s, w1s, np.ones(len(w1s))))
         graph = machine.graph
-        amps = slot_rows(machine, symbols(machine, w1s), symbols(machine, w2s), etas)
+        # pair k at eta k, from the grid of every pair at every eta
+        amps = slot_rows(machine, symbols(machine, w1s), symbols(machine, w2s), etas=etas)
+        amps = amps[diagonal(len(w1s))]
         # one row, both sides of one chunk, and two chunks' worth
         for rows in (1, 63, 64, 65, 130):
             final = machine._final_walk(amps[:rows])
@@ -715,7 +723,7 @@ def test_final_amplitudes_match_evolve_per_word_bit_for_bit(family):
         machine = machine_for_length(family, n)
         words = all_words(n)
         rows = symbols(machine, words)
-        chunks = list(final_amplitudes(machine, rows, rows, np.ones(len(words))))
+        chunks = list(final_amplitudes(machine, rows, rows, etas=[1.0]))
         assert [len(c) for c in chunks[:-1]] == [CHUNK] * (len(chunks) - 1)
         for word, got in zip(words, np.concatenate(chunks)):
             state = evolve(initial_state(machine, word), machine.coins, machine.steps)
@@ -725,13 +733,17 @@ def test_final_amplitudes_match_evolve_per_word_bit_for_bit(family):
 def test_final_amplitudes_check_the_grid_whole():
     machine = spatial_eq(3)
     rows = symbols(machine, all_words(6))
-    with pytest.raises(ValueError, match=r"eta has shape \(100,\), wanted \(64,\)"):
-        next(final_amplitudes(machine, rows, rows, np.ones(100)))
+    # etas of no dimension or of two, and etas given by position, are refused
+    for etas, shape in ((np.float64(1.0), r"\(\)"), (np.ones((64, 1)), r"\(64, 1\)")):
+        with pytest.raises(ValueError, match=rf"\(64, 6\) and \(64, 6\), etas of shape {shape}$"):
+            next(final_amplitudes(machine, rows, rows, etas=etas))
+    with pytest.raises(TypeError):
+        final_amplitudes(machine, rows, rows, np.ones(64))
     twice = np.concatenate([rows, rows])
     with pytest.raises(ValueError, match=r"shapes \(64, 6\) and \(128, 6\)"):
-        next(final_amplitudes(machine, rows, twice, np.ones(64)))
-    # a bad eta past the first chunk fails before any chunk is evolved
-    eta = np.ones(len(twice))
-    eta[100] = 2.0
+        next(final_amplitudes(machine, rows, twice, etas=[1.0]))
+    # a bad eta first read past the first chunk fails before any chunk is evolved
+    etas = np.ones(CHUNK + 1)
+    etas[CHUNK] = 2.0
     with pytest.raises(ValueError, match=r"\|eta\| must be <= 1, got 2\.0"):
-        next(final_amplitudes(machine, twice, twice, eta))
+        next(final_amplitudes(machine, twice, twice, etas=etas))

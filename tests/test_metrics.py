@@ -261,10 +261,11 @@ def test_fidelity_matches_the_per_row_oracle_on_batch_rows():
     base = "aaabbb"
     reference = evolve(encoding.initial_state(machine, base), machine.coins, machine.steps)
     others = [w for w in encoding.words_of_length(6) if w != base]
-    first = np.broadcast_to(encoding.symbols(machine, [base]), (len(others) * 11, 6))
-    second = np.repeat(encoding.symbols(machine, others), 11, axis=0)
-    eta = np.tile(np.linspace(0.0, 1.0, 11), len(others))
-    amps = spread(machine, slot_rows(machine, first, second, eta))
+    second = encoding.symbols(machine, others)
+    first = np.broadcast_to(encoding.symbols(machine, [base]), second.shape)
+    etas = np.linspace(0.0, 1.0, 11)
+    amps = spread(machine, slot_rows(machine, first, second, etas=etas))
+    assert len(amps) == len(others) * 11
     every = np.arange(machine.graph.num_ports)
     final = Program(machine.coins, machine.steps, every)(amps)
     assert final.flags.c_contiguous
@@ -274,7 +275,7 @@ def test_fidelity_matches_the_per_row_oracle_on_batch_rows():
     expected = reference_fidelity(reference, final)
     assert np.array_equal(fidelity(reference, final), expected)
     # chunk by chunk, across every CHUNK-row boundary, the same values
-    chunks = [fidelity(reference, f) for f in final_amplitudes(machine, first, second, eta)]
+    chunks = [fidelity(reference, f) for f in final_amplitudes(machine, first, second, etas=etas)]
     assert len(chunks) == -(-len(final) // CHUNK) > 1
     assert np.array_equal(np.concatenate(chunks), expected)
     # the eta = 1 rows reproduce the base word, whose overlap squares above 1

@@ -31,6 +31,14 @@ def test_compile_times_run_in_this_checkout():
     assert all(isinstance(ms, float) and ms > 0 for ms in times.values())
 
 
+def test_qinput_rss_runs_in_this_checkout():
+    bench_pairs = load_bench_pairs()
+    low = bench_pairs.QINPUT_POINTS[0]
+    assert low == 2
+    # numpy alone takes more than 16 MiB; 131,070 rows take far less than 1 GiB
+    assert 2**14 < bench_pairs.qinput_peak_kib(ROOT, low) < 2**20
+
+
 def refused_before_any_run(tmp_path, *args) -> str:
     """The stderr of a ``bench_pairs`` run that must exit 2 without writing anything."""
     # neither directory holds a benchmark: a run started there would fail with exit 1

@@ -19,7 +19,9 @@ Every process runs BLAS on one thread.
 ``COMPILE_TIMES`` is specific to the light-cone programs of
 ``walk.Program``: it times the compile of each program the workloads
 build.  A sweep and a qinput time the machine's one program,
-``Machine._final_walk``.
+``Machine._final_walk``.  ``QINPUT_RSS`` gives each side's fresh-process
+peak RSS of the 16-symbol qinput at ``QINPUT_POINTS`` eta points, and from
+the two runs the bytes each added grid row costs.
 ``--seeds`` must be two integers ``first-last`` naming at least two seeds,
 since the summary takes quartiles.
 """
@@ -76,6 +78,22 @@ out["replay: spatial-eq n=1000, every port, 3 steps"] = ms(every_port(m.coins, 3
 print(json.dumps(out))
 """
 
+# run in a checkout with the eta points as argument: the peak RSS, in KiB (ru_maxrss
+# on Linux), of one process that runs the 16-symbol seq-eq qinput
+QINPUT_RSS = r"""
+import resource, sys, tempfile
+from walklang import cli
+
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main(["qinput", "--family", "seq-eq", "--base", "aaaaaaaabbbbbbbb",
+                     "--eta-points", sys.argv[1], "--out", f"{out}/qinput.csv"])
+if code != 0:
+    sys.exit(code)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+QINPUT_POINTS = (2, 11)
+QINPUT_WORDS = 2**16 - 1  # the base's other words: grid rows per eta point
+
 
 def bench(root: Path, workload: str, seed: int, trace: int,
           seconds: float | None = None) -> dict:
@@ -93,6 +111,12 @@ def verify_seconds(root: Path) -> float:
     subprocess.run([sys.executable, "-m", "walklang", "verify"], cwd=root, env=ENV,
                    stdout=subprocess.DEVNULL, check=True)
     return time.perf_counter() - start
+
+
+def qinput_peak_kib(root: Path, points: int) -> int:
+    done = subprocess.run([sys.executable, "-c", QINPUT_RSS, str(points)], cwd=root, env=ENV,
+                          capture_output=True, text=True, check=True)
+    return int(done.stdout)
 
 
 def spread(values: list[float]) -> dict:
@@ -162,6 +186,12 @@ def main() -> int:
     compile_ms = {side: json.loads(subprocess.run(
         [sys.executable, "-c", COMPILE_TIMES], cwd=root, env=ENV, capture_output=True,
         text=True, check=True).stdout) for side, root in sides.items()}
+    low, high = QINPUT_POINTS
+    qinput_rss = {}
+    for side, root in sides.items():
+        kib = {points: qinput_peak_kib(root, points) for points in QINPUT_POINTS}
+        qinput_rss[side] = {"peak_rss_kib": kib, "bytes_per_added_row":
+                            (kib[high] - kib[low]) * 1024 / (QINPUT_WORDS * (high - low))}
     describe = subprocess.run([sys.executable, "perfbench/run.py", "--describe"],
                               cwd=sides["change"], env=ENV, capture_output=True, text=True,
                               check=True)
@@ -183,6 +213,7 @@ def main() -> int:
         "summary": summary,
         "verify_wall_s": verify,
         "compile_ms": compile_ms,
+        "qinput_rss": qinput_rss,
         "traced": traced,
         "runs": runs,
     }
