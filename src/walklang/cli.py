@@ -67,11 +67,11 @@ def _write_blocks(out_path: Path, blocks: Iterable[str]) -> None:
         raise
 
 
-def _clamp(p):
-    """Clip probabilities, one or an array, into [0, 1]; NaN is an error, not 0."""
+def _refuse_nan(p):
+    """The probabilities, one or an array, unchanged; NaN is an error, not a number."""
     if np.isnan(p).any():
         raise ValueError("acceptance probability is NaN")
-    return np.clip(p, 0.0, 1.0)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def _sweep_blocks(family: str, max_len: int) -> Iterator[str]:
         words = encoding.words_of_length(n)
         # odd lengths compare against the member one symbol shorter; length 1 has none
         reference = machines.member_word(family, n - n % 2)
-        probs = _clamp(machines.acceptances(machine, words))
+        probs = _refuse_nan(machines.acceptances(machine, words))
         scores = np.zeros(len(words)) if reference is None else metrics.jaro(words, reference)
         texts = zip(words, _fmt_each(probs), _fmt_each(scores))
         # the 2**n - 2 rows of the shorter lengths come first

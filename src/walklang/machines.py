@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -39,7 +38,7 @@ import numpy as np
 from . import coins as coinlib
 from . import encoding
 from .graph import PortGraph
-from .walk import CoinAssignment, Program, _check_steps, evolve, vertex_masses
+from .walk import CoinAssignment, Program, evolve, vertex_masses
 from .walk import vertex_probability
 
 __all__ = [
@@ -67,20 +66,20 @@ FAMILIES = ("spatial-eq", "spatial-ab", "seq-ab", "seq-eq")
 class Machine:
     """A built walk machine: coins (and with them the graph), input layout and schedule.
 
-    ``input_slots`` is a tuple mapping 0-based symbol positions, at least
-    one, to the ``(a-rail, b-rail)`` pair of input vertices (spatial) or
-    the chain vertex (sequential) that carries the symbol; every position
-    has the same form, and ``kind`` reports which.  ``steps`` is the
-    measurement time for this machine's word length, a non-negative int.
-    ``member`` is the word of ``word_length`` that the machine accepts with
-    certainty, or None when that length has none; construction checks that
-    it does, within 1e-12.  ``graph`` is ``coins.graph``, ``word_length``
-    is ``len(input_slots)`` and ``kind`` follows the form of the slots, so
-    none can disagree with what it derives from.  ``slot_indices`` is
-    derived once from ``input_slots``: per position, the flat state indices
-    of its a-slot and b-slot, no index used twice.  ``accepting`` and
-    ``rejecting`` are frozensets, and every id in them and in
-    ``input_slots`` is an ``int`` vertex of the graph.
+    ``input_slots`` is a tuple mapping 0-based symbol positions, at least one, to the
+    ``(a-rail, b-rail)`` pair of input vertices (spatial) or the chain vertex (sequential)
+    that carries the symbol; every position has the same form, and ``kind`` reports which.
+    ``steps`` is the measurement time for this machine's word length.  ``member`` is the
+    word of ``word_length`` that the machine accepts with certainty, or None when that
+    length has none; construction checks that it does, within 1e-12.  ``graph`` is
+    ``coins.graph``, ``word_length`` is ``len(input_slots)`` and ``kind`` follows the form
+    of the slots, so none can disagree with what it derives from.  ``accepting`` and
+    ``rejecting`` are frozensets, and every id in them and in ``input_slots`` is an ``int``
+    vertex of the graph.  ``slot_indices`` is derived once from ``input_slots``: per
+    position, the flat state indices of its a-slot and b-slot.  From them the machine's one
+    :class:`Program`, ``_final_walk``, is compiled at construction: the one check that
+    ``steps`` is a non-negative int and that no two slots share a port.  A machine holds
+    no lazy state.
     """
 
     family: str
@@ -91,6 +90,7 @@ class Machine:
     steps: int
     member: str | None = None
     slot_indices: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    _final_walk: Program = field(init=False, repr=False)
 
     graph = property(lambda self: self.coins.graph)
     word_length = property(lambda self: len(self.input_slots))
@@ -99,7 +99,6 @@ class Machine:
     )
 
     def __post_init__(self):
-        _check_steps(self.steps)
         if not (isinstance(self.accepting, frozenset) and isinstance(self.rejecting, frozenset)):
             raise ValueError("accepting and rejecting must be frozensets of vertex ids")
         if not (isinstance(self.input_slots, tuple) and self.input_slots):
@@ -122,23 +121,14 @@ class Machine:
             raise ValueError("accepting/rejecting sets contain input vertices")
         index = self.graph.state_index
         table = tuple((index(a, 0), index(b, 0 if spatial else 1)) for a, b in pairs)
-        # the program reads one column per slot, so no two may coincide
-        flat = [i for pair in table for i in pair]
-        if len(set(flat)) < len(flat):
-            repeated = next(i for k, i in enumerate(flat) if i in flat[:k])
-            raise ValueError(f"input positions share flat slot {repeated}")
         object.__setattr__(self, "slot_indices", table)
+        object.__setattr__(self, "_final_walk", Program(self.coins, self.steps, np.ravel(table)))
         if self.member is not None:
             p = word_acceptance(self, self.member)
             if not abs(p - 1.0) <= 1e-12:
                 raise ValueError(
                     f"member word {self.member!r} is accepted with probability {p}, not 1"
                 )
-
-    @cached_property
-    def _final_walk(self) -> Program:
-        """The schedule compiled once, from the slots in ``encode_chunks``' column order."""
-        return Program(self.coins, self.steps, np.ravel(self.slot_indices))
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,9 @@ def fidelity(reference: WalkState, amplitudes: np.ndarray) -> np.ndarray:
     One ``np.vecdot`` over the rows copied to C-contiguous memory, where it
     rounds as a per-row ``np.vdot`` does (both BLAS ``zdotc``); each overlap
     is squared as a Python float, as numpy's square rounds some doubles
-    differently.  Rounding can put a square a hair above 1, so it is capped
-    at 1; a NaN, infinite or overflowing overlap, from a row that holds one,
-    raises ``ValueError``.  The rows are not checked for norm.
+    differently.  Rounding can put a square a hair above 1, and it is
+    reported as it is; a NaN, infinite or overflowing overlap, from a row
+    that holds one, raises ``ValueError``.  The rows are not checked for norm.
     """
     rows = np.ascontiguousarray(amplitudes, dtype=np.complex128)
     ports = reference.graph.num_ports
@@ -92,4 +92,4 @@ def fidelity(reference: WalkState, amplitudes: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"fidelity is {out[bad[0]]} at row {bad[0]}: a row holds a non-finite amplitude"
         )
-    return np.minimum(out, 1.0)
+    return out

@@ -270,10 +270,10 @@ def vertex_masses(block: np.ndarray) -> np.ndarray:
 
 
 def all_vertex_probabilities(state: WalkState) -> np.ndarray:
-    probs = np.abs(state.amplitudes) ** 2
+    """Every vertex's probability, one :func:`vertex_masses` call per degree class."""
     out = np.empty(state.graph.num_vertices)
     for vs, idx in state.graph.degree_classes():
-        out[vs] = probs[idx].sum(axis=1)
+        out[vs] = vertex_masses(state.amplitudes[idx])
     return out
 
 

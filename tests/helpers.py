@@ -92,10 +92,10 @@ def reference_fidelity(reference, amplitudes: np.ndarray) -> np.ndarray:
     """Fidelity of each row with ``reference``, measured one row at a time.
 
     An oracle for ``metrics.fidelity``: each row is copied to contiguous
-    memory, then ``abs(complex(np.vdot(ref, row))) ** 2`` is capped at 1.
+    memory, then ``abs(complex(np.vdot(ref, row))) ** 2``, uncapped.
     """
     ref = reference.amplitudes
-    return np.array([min(1.0, abs(complex(np.vdot(ref, np.ascontiguousarray(row)))) ** 2)
+    return np.array([abs(complex(np.vdot(ref, np.ascontiguousarray(row)))) ** 2
                      for row in amplitudes])
 
 
@@ -292,16 +292,17 @@ def reference_state_from_text(graph: PortGraph, text: str) -> WalkState:
 
 
 def reference_vertex_probabilities(state) -> np.ndarray:
-    """Per-vertex probabilities by a loop over vertices, each summing its own slice.
+    """Per-vertex probabilities by a loop over vertices, one ``np.vdot`` of each slice.
 
-    A bit-identity oracle for ``walk.all_vertex_probabilities``.
+    A bit-identity oracle for ``walk.all_vertex_probabilities``, independent
+    of ``walk.vertex_masses``: a contiguous slice's ``np.vdot`` is BLAS ``zdotc``.
     """
-    graph = state.graph
-    probs = np.abs(state.amplitudes) ** 2
-    return np.array(
-        [probs[graph.offset(v): graph.offset(v) + graph.degree(v)].sum()
-         for v in graph.vertices]
-    )
+    graph, amps = state.graph, state.amplitudes
+    out = []
+    for v in graph.vertices:
+        ports = amps[graph.offset(v): graph.offset(v) + graph.degree(v)]
+        out.append(np.vdot(ports, ports).real)
+    return np.array(out)
 
 
 def closed_form_acceptance(machine, word: str) -> float:

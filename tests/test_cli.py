@@ -20,7 +20,7 @@ from walklang import (
     word_acceptance,
 )
 from walklang import cli, fidelity
-from walklang.cli import _clamp, _fmt_each, main, run_verify
+from walklang.cli import _fmt_each, _refuse_nan, main, run_verify
 from walklang.encoding import symbols, words_of_length
 from walklang.machines import FAMILIES, final_amplitudes
 from walklang.walk import state_to_text
@@ -467,17 +467,19 @@ def test_verify_stdout_is_pinned(capsys):
     assert digest == "ee381ca7745e76eb3de1f0666bd5771378b0f44241c977ce8fe2da9abaa0dc67"
 
 
-def test_clamp_rejects_nan_and_clips_the_rest():
+def test_refuse_nan_rejects_nan_and_passes_the_rest_unchanged():
     graph = line_graph(2)
     holds_nan = WalkState(graph, np.array([np.nan, 0.0]), _checked=True)
     p = vertex_probability(holds_nan, 0)
     with pytest.raises(ValueError, match="NaN"):
-        _clamp(p)
+        _refuse_nan(p)
     with pytest.raises(ValueError, match="NaN"):
-        _clamp(np.array([0.5, p, 1.0]))
-    clipped = _clamp(np.array([-1e-17, 0.25, 1 + 2e-16]))
-    assert clipped.tolist() == [0.0, 0.25, 1.0]
-    assert _clamp(1 + 2e-16) == 1.0
+        _refuse_nan(np.array([0.5, p, 1.0]))
+    # a probability rounded a hair above 1 is reported as it is, not clipped
+    above = np.array([0.0, 0.25, 1 + 2.2e-16])
+    assert _refuse_nan(above).tobytes() == above.tobytes()
+    assert _refuse_nan(1 + 2.2e-16) == 1 + 2.2e-16 > 1.0
+    assert cli._fmt(1 + 2.2e-16) == "1"
 
 
 def test_fmt_each_formats_by_bits():

@@ -282,14 +282,16 @@ def test_encode_guards_the_norm_of_every_row(monkeypatch):
         coins=CoinAssignment.by_degree(graph, grover), input_slots=((0, 1), (3, 4)),
         accepting=frozenset({2}), rejecting=frozenset(), steps=1,
     )
-    # a slot table forged past the constructor's check: both positions share
-    # their rails, so "aa" and "bb" load one port twice
+    words = all_words(2)
+    unforged = acceptances(machine, words)
+    # a slot table forged after construction: both positions share their
+    # rails, so "aa" and "bb" load one port twice
     object.__setattr__(machine, "slot_indices", ((0, 1), (0, 1)))
     assert np.linalg.norm(slot_rows(machine, *[symbols(machine, ["ab", "ba"])] * 2,
                                     etas=[1.0]), axis=1) == pytest.approx(1.0)
-    # slot columns never share a port, so the program that reads them refuses the table
-    with pytest.raises(ValueError, match="program inputs repeat port 0$"):
-        acceptances(machine, ["ab", "bb"])
+    # the machine's program was compiled from the real table, so its acceptances hold
+    assert acceptances(machine, words).tobytes() == unforged.tobytes()
+    # slot columns never share a port, so a program compiled from the forged table is refused
     with pytest.raises(ValueError, match="program inputs repeat port 0$"):
         Program(machine.coins, machine.steps, np.ravel(machine.slot_indices))
     # a state spread onto the ports writes the shared one twice and fails its norm check

@@ -318,21 +318,22 @@ def test_empirical_error_margins():
 
 def test_machine_rejects_input_positions_that_share_a_slot():
     graph = PortGraph([(0, 2), (1, 2)])
-    with pytest.raises(ValueError, match="input positions share flat slot 0$"):
+    # the machine's one program is the guard: it reads one column per slot, each on its own port
+    with pytest.raises(ValueError, match="program inputs repeat port 0$"):
         Machine(
             family="shared-rails",
             coins=CoinAssignment.by_degree(graph, grover), input_slots=((0, 1), (0, 1)),
             accepting=frozenset({2}), rejecting=frozenset(), steps=1,
         )
     # one rail serving as both the a-rail and the b-rail of a position
-    with pytest.raises(ValueError, match="input positions share flat slot 1$"):
+    with pytest.raises(ValueError, match="program inputs repeat port 1$"):
         Machine(
             family="shared-rails",
             coins=CoinAssignment.by_degree(graph, grover), input_slots=((1, 1),),
             accepting=frozenset({2}), rejecting=frozenset(), steps=1,
         )
     machine = sequential_ab(3)
-    with pytest.raises(ValueError, match="input positions share flat slot 8$"):
+    with pytest.raises(ValueError, match="program inputs repeat port 8$"):
         dataclasses.replace(machine, input_slots=(0, 2, 2), member=None)
 
 
@@ -539,6 +540,34 @@ def test_all_vertex_probabilities_match_reference_loop(family):
             for s in (state, evolve(state, machine.coins, machine.steps)):
                 got = all_vertex_probabilities(s)
                 assert np.array_equal(got, reference_vertex_probabilities(s))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_simulate_and_sweep_measure_the_accepting_vertex_with_the_same_bits(family):
+    for n in range(1, 9):
+        machine = machine_for_length(family, n)
+        words = all_words(n)
+        (accept,) = machine.accepting
+        got = [all_vertex_probabilities(evolve(initial_state(machine, w), machine.coins,
+                                               machine.steps))[accept] for w in words]
+        assert np.array(got).tobytes() == acceptances(machine, words).tobytes(), n
+
+
+def test_a_machine_holds_no_lazy_state():
+    machines = [machine_for_length(f, n) for f in FAMILIES for n in range(1, 7)]
+    machines += [sequential_word(w) for n in range(1, 5) for w in all_words(n)]
+    for machine in machines:
+        before = dict(vars(machine))
+        program = machine._final_walk
+        assert isinstance(program, Program)
+        words = all_words(machine.word_length)
+        rows = symbols(machine, words)
+        acceptances(machine, words)
+        list(final_amplitudes(machine, rows, rows[::-1], etas=[1.0, 0.5]))
+        after = vars(machine)
+        assert after.keys() == before.keys()
+        assert all(after[k] is v for k, v in before.items()), machine.family
+        assert machine._final_walk is program
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -280,8 +280,9 @@ def test_fidelity_matches_the_per_row_oracle_on_batch_rows():
     assert np.array_equal(np.concatenate(chunks), expected)
     # the eta = 1 rows reproduce the base word, whose overlap squares above 1
     ref = reference.amplitudes
-    assert abs(complex(np.vdot(ref, ref))) ** 2 > 1.0
-    assert fidelity(reference, final[10::11]).tolist() == [1.0] * len(others)
+    square = abs(complex(np.vdot(ref, ref))) ** 2
+    assert square > 1.0
+    assert fidelity(reference, final[10::11]).tolist() == [square] * len(others)
     # a strided row may round differently; the contiguous copy is what is measured
     strided = [abs(complex(np.vdot(ref, row))) ** 2 for row in final]
     assert not np.array_equal(strided, expected)

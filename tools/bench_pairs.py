@@ -18,10 +18,11 @@ Every process runs BLAS on one thread.
 
 ``COMPILE_TIMES`` is specific to the light-cone programs of
 ``walk.Program``: it times the compile of each program the workloads
-build.  A sweep and a qinput time the machine's one program,
-``Machine._final_walk``.  ``QINPUT_RSS`` gives each side's fresh-process
-peak RSS of the 16-symbol qinput at ``QINPUT_POINTS`` eta points, and from
-the two runs the bytes each added grid row costs.
+build.  A sweep and a qinput time the machine's one program, the one its
+constructor compiles: ``walk.Program(m.coins, m.steps, np.ravel(m.slot_indices))``.
+``QINPUT_RSS`` gives each side's fresh-process peak RSS of the 16-symbol
+qinput at ``QINPUT_POINTS`` eta points, and from the two runs the bytes
+each added grid row costs.
 ``--seeds`` must be two integers ``first-last`` naming at least two seeds,
 since the summary takes quartiles.
 """
@@ -59,7 +60,9 @@ def ms(make, reps=15):
     return round(statistics.median(times) * 1e3, 4)
 
 out = {}
-program = machines.Machine._final_walk.func
+
+def program(m):
+    return walk.Program(m.coins, m.steps, np.ravel(m.slot_indices))
 
 def every_port(coins, steps):
     every = np.arange(coins.graph.num_ports)
