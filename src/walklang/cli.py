@@ -139,8 +139,7 @@ def _qinput_blocks(base: str, family: str, eta_points: int) -> Iterator[str]:
         [metrics.fidelity(reference, final) for final in finals])))
     yield f"# eta-grid=amplitude-linear points={eta_points}\n"
     yield "w2,eta,fidelity,match_count\n"
-    for w2 in others:
-        match_count = sum(1 for x, y in zip(base, w2) if x == y)
+    for w2, match_count in zip(others, (second == row).sum(axis=1).tolist()):
         # zip stops at the end of eta_text without taking the next w2's first fidelity
         yield "".join(f"{w2},{eta},{f},{match_count}\n" for eta, f in zip(eta_text, fidelities))
 

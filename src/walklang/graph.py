@@ -40,9 +40,9 @@ class PortGraph:
 
     The vertices are ``0 .. n-1``, n being the largest id + 1, and each of
     them must carry a port.  The flat state layout (:meth:`offset`,
-    :meth:`state_index`, :meth:`shift_permutation`, :meth:`degree_classes`)
-    is derived once, into read-only arrays, so a graph may be shared freely
-    between threads.
+    :meth:`shift_permutation`, :meth:`degree_classes`) is derived once, into
+    read-only arrays, so a graph may be shared freely between threads; port
+    c of vertex v is flat index ``offset(v) + c``.
     """
 
     __slots__ = ("_degrees", "_edges", "_offsets", "_shift", "_classes")
@@ -121,11 +121,6 @@ class PortGraph:
     def offset(self, v: int) -> int:
         """Start of vertex ``v``'s block in the flat amplitude vector."""
         return int(self._offsets[self._vertex(v)])
-
-    def state_index(self, v: int, c: int) -> int:
-        if not (_is_id(c) and 0 <= c < self.degree(v)):
-            raise ValueError(f"invalid port ({v}, {c})")
-        return self.offset(v) + int(c)
 
     def shift_permutation(self) -> np.ndarray:
         """Read-only, self-inverse permutation of flat indices realising the shift."""

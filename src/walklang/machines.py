@@ -76,7 +76,8 @@ class Machine:
     of the slots, so none can disagree with what it derives from.  ``accepting`` and
     ``rejecting`` are frozensets, and every id in them and in ``input_slots`` is an ``int``
     vertex of the graph.  ``slot_indices`` is derived once from ``input_slots``: per
-    position, the flat state indices of its a-slot and b-slot.  From them the machine's one
+    position, the flat state indices of its a-slot and b-slot, port 0 of each rail, or
+    ports 0 and 1 of a chain vertex, which must have two.  From them the machine's one
     :class:`Program`, ``_final_walk``, is compiled at construction: the one check that
     ``steps`` is a non-negative int and that no two slots share a port.  A machine holds
     no lazy state.
@@ -119,8 +120,11 @@ class Machine:
             raise ValueError("accepting and rejecting sets overlap")
         if not ids.isdisjoint(inputs):
             raise ValueError("accepting/rejecting sets contain input vertices")
-        index = self.graph.state_index
-        table = tuple((index(a, 0), index(b, 0 if spatial else 1)) for a, b in pairs)
+        short = [] if spatial else [v for v in self.input_slots if self.graph.degree(v) < 2]
+        if short:
+            raise ValueError(f"sequential input vertex {short[0]} has fewer than two ports")
+        offset = self.graph.offset
+        table = tuple((offset(a), offset(b) + (not spatial)) for a, b in pairs)
         object.__setattr__(self, "slot_indices", table)
         object.__setattr__(self, "_final_walk", Program(self.coins, self.steps, np.ravel(table)))
         if self.member is not None:

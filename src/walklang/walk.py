@@ -71,14 +71,14 @@ class CoinAssignment:
 
     The global coin is the direct sum of the per-vertex blocks; its matrix
     form is produced on demand by :func:`dense_step_matrix`.  The blocks
-    are stored once, as one read-only ``(k, d, d)`` stack per degree class
-    of the graph, and ``matrices[v]`` is a view into its stack.  A block
-    whose d nonzero entries are all exactly 1 is a permutation, so coin and
-    shift only move its ports' amplitudes: the permutation ``route`` gives,
-    for every port, the port it reads from in one step (through the shift
-    alone at a mixing vertex).  Each stack holds its mixing blocks first; a
-    :class:`Program` multiplies only those, through the kernel's
-    ``(idx, stack)`` entries: the flat indices of their ports and their blocks.
+    are held as one read-only ``(k, d, d)`` stack per degree class of the
+    graph, in its order, and ``matrices[v]`` is a view into its stack.  A
+    block whose d nonzero entries are all exactly 1 is a permutation, so coin
+    and shift only move its ports' amplitudes: the permutation ``route``
+    gives, for every port, the port it reads from in one step (through the
+    shift alone at a mixing vertex).  A :class:`Program` multiplies only the
+    mixing blocks, through one kernel ``(idx, stack)`` per mixing class: the
+    class itself, or a copy of its mixing rows if some of its blocks route.
     """
 
     __slots__ = ("_graph", "_matrices", "_route", "_kernel")
@@ -99,11 +99,11 @@ class CoinAssignment:
                 raise ValueError(f"coin at vertex {v} has shape {block.shape}, degree is {d}")
             blocks.append(np.ascontiguousarray(block))
         # the shift is self-inverse, so a mixing vertex's ports read through it alone
-        route = np.array(graph.shift_permutation())
-        views, kernel = {}, []
+        shift = graph.shift_permutation()
+        route, views, kernel = np.array(shift), {}, []
         for vs, idx in graph.degree_classes():
             d = idx.shape[1]
-            # the class's blocks in immutable bytes, copied again below only to reorder them
+            # the class's blocks in immutable bytes, in graph order
             stack = np.ndarray((*idx.shape, d), np.complex128,
                                b"".join(blocks[v] for v in vs.tolist()))
             if not unitarity_defect(stack) <= UNITARY_TOL:  # name the lowest failing vertex
@@ -112,16 +112,13 @@ class CoinAssignment:
                 check_unitary(stack, f"stack of degree-{d} coins")
             # a unitary block whose only nonzero entries are d ones is a permutation
             routed = (np.count_nonzero(stack, axis=(1, 2)) == d) & ((stack == 1).sum((1, 2)) == d)
-            m = len(vs) - int(np.count_nonzero(routed))
-            order = np.argsort(routed, kind="stable")  # the mixing blocks first
-            stack = _frozen(stack[order]) if routed[:m].any() else stack
-            vs, idx = vs[order].tolist(), idx[order]
-            dst = graph.shift_permutation()[idx[m:]]
             # P[i, j] = 1 sends port o + j through port o + i to shift[o + i]
-            route[dst] = np.take_along_axis(idx[m:], stack[m:].real.argmax(axis=2), 1)
-            if m:
-                kernel.append((_frozen(idx[:m]), stack[:m]))
-            views.update(zip(vs, stack))
+            route[shift[idx[routed]]] = np.take_along_axis(
+                idx[routed], stack[routed].real.argmax(axis=2), 1)
+            if not routed.all():  # the mixing rows: the class itself, or a copy if some route
+                kernel.append((_frozen(idx[~routed]), _frozen(stack[~routed])) if routed.any()
+                              else (idx, stack))
+            views.update(zip(vs.tolist(), stack))
         self._graph = graph
         self._matrices = tuple(views[v] for v in graph.vertices)
         self._route = _frozen(route)
@@ -201,8 +198,9 @@ class Program:
     ports.  A port outside that cone may hold ``+0.0`` where a step-by-step
     walk holds ``-0.0`` (equal under ``np.array_equal``).  Once the inputs
     reach every port, the steps left are one stored step, repeated: every
-    mixing gemv on the port columns, then one gather for the moves.  So a
-    program's size does not grow with ``steps``.
+    mixing gemv on the port columns, then one gather for the moves.  Until
+    then a program keeps one event set per step, so its size grows with
+    ``steps`` as long as the inputs have not reached every port.
     """
 
     __slots__ = ("_ports", "_inputs", "_events", "_loops", "_steady")

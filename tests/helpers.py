@@ -13,7 +13,7 @@ from walklang.encoding import encode_chunks
 
 def basis_state(graph: PortGraph, v: int, c: int) -> WalkState:
     """All amplitude on the single basis state ``(v, c)``."""
-    return WalkState(graph, np.eye(graph.num_ports)[graph.state_index(v, c)])
+    return WalkState(graph, np.eye(graph.num_ports)[graph.offset(v) + c])
 
 
 def line_graph(n: int) -> PortGraph:

@@ -27,7 +27,7 @@ from walklang.walk import CoinAssignment, Program
 from helpers import all_words, diagonal, reference_load, slot_rows, spread
 
 def amplitude(state, v: int, c: int) -> complex:
-    return complex(state.amplitudes[state.graph.state_index(v, c)])
+    return complex(state.amplitudes[state.graph.offset(v) + c])
 
 
 words = st.integers(1, 6).flatmap(

@@ -18,7 +18,7 @@ def assert_pairs(g: PortGraph, table: dict[tuple[int, int], tuple[int, int]]) ->
     pairing = counted_pairing(edge_list(g))
     for (v, c), (w, d) in table.items():
         assert pairing[(v, c)] == (w, d)
-        assert g.shift_permutation()[g.state_index(v, c)] == g.state_index(w, d)
+        assert g.shift_permutation()[g.offset(v) + c] == g.offset(w) + d
 
 
 def test_vertex_count_is_the_largest_id_plus_one():
@@ -66,12 +66,6 @@ def test_connect_unknown_vertex():
         PortGraph.from_edge_lines("0 1\n-1 0\n")
 
 
-def test_shift_target_invalid_port():
-    g = PortGraph([(0, 1)])
-    with pytest.raises(ValueError, match="invalid port"):
-        g.shift_permutation()[g.state_index(0, 1)]
-
-
 def test_offset_rejects_unknown_vertex():
     g = graph_from_edges(2, [(0, 1)])
     for v in (-1, 2, 3):
@@ -100,7 +94,7 @@ def test_vertex_ids_are_integers_in_edges_and_lookups():
             PortGraph(edges)
     g = PortGraph([(0, 1), (1, 1)])
     for v in (True, False, 0.5, 1.0, "0", None):
-        for lookup in (g.degree, g.offset, lambda v: g.state_index(v, 0)):
+        for lookup in (g.degree, g.offset):
             with pytest.raises(ValueError, match="unknown vertex id"):
                 lookup(v)
     # numpy integers are ids, in an edge and in a lookup
@@ -108,23 +102,7 @@ def test_vertex_ids_are_integers_in_edges_and_lookups():
     assert h == g and h.to_edge_lines() == "0 1\n1 1\n"
     assert np.array_equal(h.shift_permutation(), g.shift_permutation())
     assert g.degree(np.int64(1)) == 3 and g.offset(np.uint8(1)) == 1
-    assert g.state_index(np.int32(1), 2) == 3
-
-
-def test_state_index_refuses_a_port_that_is_not_an_integer_id():
-    g = PortGraph([(0, 1), (1, 1)])
-    # a fraction was returned as a flat index, and a bool read as a port
-    for c in (0.5, 1.0, True, False, np.True_, "0", None, -1, 3):
-        with pytest.raises(ValueError) as raised:
-            g.state_index(1, c)
-        assert str(raised.value) == f"invalid port (1, {c})"
-    assert g.state_index(1, np.int64(2)) == 3 and g.state_index(1, np.uint8(0)) == 1
-    # a numpy port is added to the offset as a Python int: a uint8 one neither wraps
-    # nor overflows past 255
-    wide = PortGraph([(0, 1)] * 300)
-    for c in (np.uint8(2), np.int8(2), np.int64(2)):
-        index = wide.state_index(1, c)
-        assert type(index) is int and index == 302
+    assert g.offset(np.int32(1)) == 1
 
 
 def test_shift_array_is_read_only():
@@ -166,7 +144,7 @@ def test_shift_matches_a_per_edge_port_counter(case):
     pairing = counted_pairing(edge_list(g))
     assert len(pairing) == g.num_ports
     for (v, c), (w, d) in pairing.items():
-        assert g.shift_permutation()[g.state_index(v, c)] == g.state_index(w, d)
+        assert g.shift_permutation()[g.offset(v) + c] == g.offset(w) + d
 
 
 @given(edge_cases)

@@ -337,6 +337,22 @@ def test_machine_rejects_input_positions_that_share_a_slot():
         dataclasses.replace(machine, input_slots=(0, 2, 2), member=None)
 
 
+def test_a_sequential_input_vertex_needs_two_ports():
+    # the b-slot of a chain vertex is its port 1: a one-port vertex has none
+    graph = PortGraph([(0, 1), (1, 2), (2, 3)])
+    for slots, short in (((0,), 0), ((1, 3), 3), ((2, 1, 0), 0)):
+        with pytest.raises(ValueError, match=f"^sequential input vertex {short} has fewer "
+                                             "than two ports$"):
+            Machine(
+                family="one-port-chain",
+                coins=CoinAssignment.by_degree(graph, grover), input_slots=slots,
+                accepting=frozenset(), rejecting=frozenset(), steps=1,
+            )
+    machine = Machine(family="two-port-chain", coins=CoinAssignment.by_degree(graph, grover),
+                      input_slots=(1, 2), accepting=frozenset(), rejecting=frozenset(), steps=1)
+    assert machine.slot_indices == ((1, 2), (3, 4))
+
+
 def test_machine_rejects_overlapping_sets():
     machine = spatial_eq(1)
     with pytest.raises(ValueError, match="overlap"):
@@ -529,6 +545,39 @@ def test_all_permutation_machine_routes_every_port():
             got = evolve(state, machine.coins, steps).amplitudes
             assert np.array_equal(got, reference_evolve(state, machine.coins, steps))
             assert np.array_equal(np.sort_complex(got), np.sort_complex(state.amplitudes))
+
+
+def layout_machines():
+    """The family machines at n = 1..16, every sequential_word target up to 6 symbols
+    and spatial_eq(500): 191 machines."""
+    machines = [machine_for_length(family, n) for family in FAMILIES for n in range(1, 17)]
+    machines += [sequential_word(w) for n in range(1, 7) for w in all_words(n)]
+    return machines + [spatial_eq(500)]
+
+
+def is_permutation(block: np.ndarray) -> bool:
+    return bool(np.isin(block, (0, 1)).all() and (block.sum(axis=0) == 1).all()
+                and (block.sum(axis=1) == 1).all())
+
+
+def test_the_kernel_holds_each_class_mixing_rows_in_graph_order():
+    shapes = set()
+    for machine in layout_machines():
+        coins, kernel = machine.coins, iter(machine.coins._kernel)
+        for vs, idx in machine.graph.degree_classes():
+            mixing = [k for k, v in enumerate(vs.tolist()) if not is_permutation(coins.matrices[v])]
+            if not mixing:
+                continue
+            rows, stack = next(kernel)
+            assert np.array_equal(rows, idx[mixing])
+            assert stack.tobytes() == b"".join(coins.matrices[v] for v in vs[mixing].tolist())
+            # a class that only mixes is its own entry; one that also routes, a copy of its rows
+            shares = [np.shares_memory(stack, coins.matrices[v]) for v in vs.tolist()]
+            assert shares == [len(mixing) == len(vs)] * len(vs)
+            shapes.add((len(mixing) == len(vs), stack.shape))
+        assert next(kernel, None) is None
+    # the sequential degree-4 class holds n pass-through blocks and one mixer
+    assert (False, (1, 4, 4)) in shapes and any(only for only, _ in shapes)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

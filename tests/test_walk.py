@@ -54,7 +54,7 @@ def test_walk_state_checks_shape_and_norm():
     with pytest.raises(ValueError, match="normalised"):
         WalkState(g, np.array([1.0, 1.0]))
     s = WalkState(g, np.array([0.0, 1.0]))
-    assert s.amplitudes[g.state_index(1, 0)] == 1.0
+    assert s.amplitudes[g.offset(1)] == 1.0
 
 
 def test_coin_assignment_validates_dimensions():
@@ -312,7 +312,7 @@ def test_a_program_enters_its_steady_step_part_way():
     g = PortGraph([(v, (v + 1) % 5) for v in range(5)])
     cs = CoinAssignment.by_degree(g, lambda d: coins.hadamard())
     state = basis_state(g, 0, 0)
-    inputs = [g.state_index(0, 0)]
+    inputs = [g.offset(0)]
     program = Program(cs, 40, inputs)
     assert program._events and 0 < program._loops < 40
     # the moves end with port p in column p, so the input starts in another column
@@ -529,7 +529,7 @@ def test_arrays_cannot_be_made_writeable_again():
             with pytest.raises(ValueError):
                 array.flags.writeable = True
             array = array.base
-    assert g.shift_permutation()[g.state_index(0, 0)] == g.state_index(4, 0)
+    assert g.shift_permutation()[g.offset(0)] == g.offset(4)
 
 
 def outcome(parse, *args):
