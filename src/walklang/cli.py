@@ -57,7 +57,7 @@ def _write_blocks(out_path: Path, blocks: Iterable[str]) -> None:
         raise ValueError(f"--out {out_path} exists and is not a regular file")
     out_path = out_path.resolve()  # a symlink stays, and the file it names is replaced
     part = out_path.with_name(f".{out_path.name}.{os.urandom(4).hex()}.tmp")
-    f = open(part, "x", newline="\n")
+    f = open(part, "x", encoding="utf-8", newline="\n")
     try:
         with f:
             f.writelines(blocks)
@@ -151,9 +151,9 @@ def _qinput_blocks(base: str, family: str, eta_points: int) -> Iterator[str]:
 def run_simulate(
     graph_path: Path, coins_path: Path, state_path: Path, steps: int
 ) -> str:
-    graph = PortGraph.from_edge_lines(graph_path.read_text())
-    coin_set = CoinAssignment.from_text(graph, coins_path.read_text())
-    state = state_from_text(graph, state_path.read_text())
+    graph = PortGraph.from_edge_lines(graph_path.read_text(encoding="utf-8"))
+    coin_set = CoinAssignment.from_text(graph, coins_path.read_text(encoding="utf-8"))
+    state = state_from_text(graph, state_path.read_text(encoding="utf-8"))
     final = evolve(state, coin_set, steps)
     probs = all_vertex_probabilities(final)
     return "".join(f"{v} {float(p):.15f}\n" for v, p in enumerate(probs))

@@ -18,7 +18,7 @@ distinct ports on its vertex, paired with each other.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,6 +33,14 @@ def _is_id(v) -> bool:
 def _frozen(array: np.ndarray) -> np.ndarray:
     """A copy of ``array`` over immutable bytes: no view of it can be made writeable."""
     return np.ndarray(array.shape, array.dtype, array.tobytes())
+
+
+def _records(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, str, str]]:
+    """``(number, raw, stripped)`` per data line of a file: not blank, not a ``#`` comment."""
+    for number, raw in lines:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield number, raw, line
 
 
 class PortGraph:
@@ -150,10 +158,7 @@ class PortGraph:
         rules are the constructor's.
         """
         pending: list[tuple[int, int]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, raw, line in _records(enumerate(text.splitlines(), start=1)):
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")

@@ -496,8 +496,8 @@ def export_machine(machine: Machine, directory: str | Path) -> dict[str, Path]:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.txt" for name in ("graph", "coins", "machine")}
-    paths["graph"].write_text(machine.graph.to_edge_lines())
-    paths["coins"].write_text(machine.coins.to_text())
+    paths["graph"].write_text(machine.graph.to_edge_lines(), encoding="utf-8")
+    paths["coins"].write_text(machine.coins.to_text(), encoding="utf-8")
     spatial = machine.kind == "spatial"
     slots = " ".join(",".join(map(str, s)) if spatial else str(s) for s in machine.input_slots)
     header = (
@@ -509,5 +509,5 @@ def export_machine(machine: Machine, directory: str | Path) -> dict[str, Path]:
         f"rejecting {' '.join(str(v) for v in sorted(machine.rejecting))}\n"
         f"slots {slots}\n"
     )
-    paths["machine"].write_text(header)
+    paths["machine"].write_text(header, encoding="utf-8")
     return paths

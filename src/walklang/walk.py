@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coins import UNITARY_TOL, check_unitary, unitarity_defect
-from .graph import PortGraph, _frozen
+from .graph import PortGraph, _frozen, _records
 
 __all__ = [
     "WalkState",
@@ -330,11 +330,9 @@ def _cells_text(cells: np.ndarray, ends: np.ndarray, starts: np.ndarray, heads: 
 
 
 def state_from_text(graph: PortGraph, text: str) -> WalkState:
-    lines = text.splitlines()
-    cells = [line.strip() for line in lines]
-    kept = [n for n, cell in enumerate(cells) if cell and not cell.startswith("#")]
-    amps = _parse_cells([cells[n] for n in kept],
-                        lambda k: f"line {kept[k] + 1}: bad amplitude {lines[kept[k]]!r}")
+    records = list(_records(enumerate(text.splitlines(), start=1)))
+    amps = _parse_cells([line for _, _, line in records],
+                        lambda k: f"line {records[k][0]}: bad amplitude {records[k][1]!r}")
     if len(amps) != graph.num_ports:
         raise ValueError(
             f"state file has {len(amps)} amplitudes, graph has {graph.num_ports} ports"
@@ -384,13 +382,8 @@ def _parse_cells(cells: list[str], error: Callable[[int], str]) -> np.ndarray:
 def _coin_blocks(graph: PortGraph, text: str) -> list[np.ndarray]:
     """The blocks of a coin file in vertex order; each row is one :func:`_parse_cells`."""
     matrices: dict[int, np.ndarray] = {}
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if not line or line.startswith("#"):
-            continue
+    lines = enumerate(text.splitlines(), start=1)
+    for i, _, line in _records(lines):  # a header; its d rows follow, blank or not
         parts = line.split()
         if parts[0] != "v" or len(parts) != 3:
             raise ValueError(f"line {i}: expected 'v <id> <degree>', got {line!r}")
@@ -410,10 +403,10 @@ def _coin_blocks(graph: PortGraph, text: str) -> list[np.ndarray]:
             )
         block = np.empty((d, d), dtype=np.complex128)
         for r in range(d):
-            if i >= len(lines):
+            i, raw = next(lines, (i, None))
+            if raw is None:
                 raise ValueError(f"line {i}: unexpected end of coin block {v}")
-            row = lines[i].split()
-            i += 1
+            row = raw.split()
             if len(row) != d:
                 raise ValueError(
                     f"line {i}: coin block {v} row has {len(row)} entries, wanted {d}"

@@ -195,6 +195,39 @@ def reference_coin_check(graph: PortGraph, matrices) -> None:
             raise NonUnitaryError(defect, f"coin at vertex {v}")
 
 
+def outcome(parse, *args):
+    """What ``parse`` returns, as bytes or text, or the message of the ``ValueError`` it raises."""
+    try:
+        result = parse(*args)
+    except ValueError as error:
+        return str(error)
+    if isinstance(result, PortGraph):
+        return result.to_edge_lines()
+    if isinstance(result, WalkState):
+        return result.amplitudes.tobytes()
+    return [block.tobytes() for block in result]
+
+
+def reference_edge_lines(text: str) -> PortGraph:
+    """An edge-list file read one line at a time; an oracle for ``PortGraph.from_edge_lines``."""
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: vertex ids must be integers, got {raw!r}") from None
+        if min(u, v) < 0:
+            raise ValueError(f"line {lineno}: vertex ids must be non-negative")
+        edges.append((u, v))
+    return PortGraph(edges)
+
+
 def reference_coin_blocks(graph: PortGraph, text: str) -> list[np.ndarray]:
     """The blocks of a coin file in vertex order, read one cell at a time.
 

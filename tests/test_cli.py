@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -429,6 +431,26 @@ def test_simulate_rejects_graph_with_portless_vertex(tmp_path, capsys):
     ])
     assert code == 2
     assert "vertex 1 has no ports" in capsys.readouterr().err
+
+
+def test_simulate_reads_utf8_files_whatever_the_locale(tmp_path):
+    # a non-ASCII digit in a coin cell: the files are UTF-8 in an ASCII locale too
+    (tmp_path / "graph.txt").write_text("0 1\n", encoding="utf-8")
+    (tmp_path / "coins.txt").write_text("v 0 1\n\u0661,0\nv 1 1\n1,0\n", encoding="utf-8")
+    (tmp_path / "state.txt").write_text("1,0\n0,0\n", encoding="utf-8")
+    args = [sys.executable, "-m", "walklang", "simulate", "--steps", "1"]
+    for name in ("graph", "coins", "state"):
+        args += [f"--{name}", str(tmp_path / f"{name}.txt")]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for locale in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+                   {"PYTHONUTF8": "1"}):
+        env = {**os.environ, "PYTHONPATH": path, **locale}
+        done = subprocess.run(args, env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] == b"0 0.000000000000000\n1 1.000000000000000\n"
 
 
 # sha256 of each output as the per-vertex coin loop wrote it; the compiled

@@ -2,11 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from walklang import PortGraph, spatial_eq
 
-from helpers import counted_pairing, graph_from_edges
+from helpers import counted_pairing, graph_from_edges, outcome, reference_edge_lines
 
 
 def edge_list(g: PortGraph) -> list[tuple[int, int]]:
@@ -169,6 +169,42 @@ def test_edge_lines_parse_errors_carry_line_numbers():
         PortGraph.from_edge_lines("0 1\n0 1 2\n")
     with pytest.raises(ValueError, match="line 1"):
         PortGraph.from_edge_lines("zero one\n")
+
+
+# ids that int() reads (a leading zero or sign, non-ASCII digits), mostly small so that
+# many drawn files are graphs; ids that are negative, not integers, or leave a gap
+good_id = st.sampled_from(["0", "1", "2", "0", "1", "01", "+1", "\u0661", "\uff10"])
+bad_id = st.sampled_from(["-1", "-01", "x", "1.0", "1__0", "0x1", "1e3", "",
+                          "99999999999999999999"])
+any_id = st.one_of(good_id, good_id, bad_id)
+# gaps that str.split cuts at; "\x1c" is one that str.splitlines cuts at too
+field_gap = st.sampled_from([" ", "  ", "\t", "\xa0", "\u3000"])
+any_gap = st.one_of(field_gap, st.just("\x1c"))
+pad = st.sampled_from(["", " ", "\t", "\u3000"])
+skipped_line = st.one_of(
+    st.sampled_from(["", " ", "\t", "\u3000", " \u3000 "]),
+    st.tuples(pad, st.sampled_from(["#", "# 0 1", "#0 1 2", "## -1"])).map("".join),
+)
+good_edge = st.tuples(pad, good_id, field_gap, good_id, pad).map("".join)
+edge_line = st.one_of(
+    good_edge,
+    skipped_line,
+    st.tuples(pad, any_id, any_gap, any_id, pad).map("".join),
+    st.tuples(any_id, any_gap, any_id, any_gap, any_id).map("".join),  # an extra field
+    any_id,  # a missing one
+)
+edge_file = st.one_of(st.lists(st.one_of(good_edge, good_edge, skipped_line), max_size=8),
+                      st.lists(edge_line, max_size=8))
+
+
+@given(edge_file, st.sampled_from(["\n", "\r\n", "\x85", "\u2028"]))
+@example(["# c", "  ", "0 1", "\u3000# 1 2", "1\u30002"], "\r\n")
+@example(["0 1", "0 1 2"], "\n")
+@example(["0 -1"], "\x85")
+@settings(max_examples=300, deadline=None)
+def test_edge_lines_parser_matches_the_per_line_loop(lines, end):
+    text = end.join(lines)
+    assert outcome(PortGraph.from_edge_lines, text) == outcome(reference_edge_lines, text)
 
 
 def test_freeze_rejects_portless_vertex():

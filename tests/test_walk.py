@@ -34,6 +34,7 @@ from helpers import (
     haar_unitary,
     hadamard_line_coins,
     line_graph,
+    outcome,
     reference_coin_blocks,
     reference_coin_check,
     reference_coin_text,
@@ -532,17 +533,6 @@ def test_arrays_cannot_be_made_writeable_again():
     assert g.shift_permutation()[g.offset(0)] == g.offset(4)
 
 
-def outcome(parse, *args):
-    """The bytes ``parse`` returns, or the message of the ``ValueError`` it raises."""
-    try:
-        result = parse(*args)
-    except ValueError as error:
-        return str(error)
-    if isinstance(result, WalkState):
-        return result.amplitudes.tobytes()
-    return [block.tobytes() for block in result]
-
-
 # cells that are valid (signed zeros, subnormals, nan and inf included, or
 # written with digit separators or non-ASCII digits) or malformed in ways a
 # comma-count check would miss; gaps are what str.split sees as whitespace
@@ -566,20 +556,50 @@ def spaced(cells, min_size, max_size):
         lambda pairs: "".join(c + g for c, g in pairs))
 
 
-# a two-port block: two rows of two good cells, or any rows of any cells
+# blank and comment lines: skipped between blocks, and a block's rows inside one
+skipped = st.sampled_from(["", "  ", "\u3000", "#", "# 1,0 0,1", "  # v 1 2"])
+
+
+def then_skipped(rows):
+    """``rows``, then one or two blank or comment lines: the gap before the next block."""
+    return st.tuples(rows, st.lists(skipped, min_size=1, max_size=2)).map(lambda p: p[0] + p[1])
+
+
+# a two-port block: two rows of two good cells, or any rows of any cells, blank and
+# comment lines among them, or either followed by blank and comment lines
 coin_row = st.one_of(spaced(good_cell, 2, 2), spaced(st.one_of(good_cell, bad_cell), 0, 3))
-coin_rows = st.one_of(st.lists(coin_row, min_size=2, max_size=2), st.lists(coin_row, max_size=3))
+coin_rows = st.one_of(st.lists(coin_row, min_size=2, max_size=2),
+                      st.lists(st.one_of(coin_row, skipped), max_size=3))
+coin_rows = st.one_of(coin_rows, then_skipped(coin_rows))
 
 
 @given(coin_rows, st.one_of(st.just(["1,0 0,1", "0,1 1,0"]), coin_rows))
 @example(["1,2,3 4", "1,0 0,1"], ["1,0 0,1", "0,1 1,0"])
 @example(["1,0\x1c0,1", "0,1 1,0"], ["1,0 0,1", "0,1 1,0"])
 @example(["-0.0,1_0 nan,-inf", "5e-324,\u0661 1e400,+.5"], ["1,0\u20030,1", "0,1\xa01,0"])
+@example(["1,0 0,1", "0,1 1,0", "# c", "", "\u3000"], ["1,0 0,1", "0,1 1,0", "#"])
+@example(["1,0 0,1", "# 0,1 1,0"], ["1,0 0,1", "0,1 1,0"])
 @settings(max_examples=400, deadline=None)
 def test_coin_parser_matches_the_per_cell_loop(rows0, rows1):
     g = PortGraph([(0, 1), (0, 1)])
     text = "\n".join(["v 0 2", *rows0, "v 1 2", *rows1])
     assert outcome(_coin_blocks, g, text) == outcome(reference_coin_blocks, g, text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("v 0 2", "line 1: unexpected end of coin block 0"),
+    ("v 0 2\n1,0 0,0", "line 2: unexpected end of coin block 0"),
+    ("v 0 2\n1,0 0,0\n0,0 1,0\n# v 1 2\nv 1 2\n1,0 0,0\n",
+     "line 6: unexpected end of coin block 1"),
+    ("v 0 2\n1,0 0,0\n# 0,1\nv 1 2\n1,0 0,0\n0,0 1,0", "line 3: bad complex entry '#'"),
+    ("v 0 2\n\n1,0 0,0\n0,0 1,0", "line 2: coin block 0 row has 0 entries, wanted 2"),
+], ids=["after-header", "after-one-row", "after-a-comment-and-one-row", "comment-row",
+        "blank-row"])
+def test_coin_block_rows_are_the_lines_after_its_header(text, message):
+    # blank and comment lines are skipped only between blocks: the d lines after a header are
+    # its rows, and an error names the line of the row it is in
+    g = PortGraph([(0, 1), (0, 1)])
+    assert outcome(_coin_blocks, g, text) == outcome(reference_coin_blocks, g, text) == message
 
 
 # a two-port state: one unit and one zero amplitude between blank and comment
@@ -618,7 +638,9 @@ pooled_cell = st.one_of(pooled_good, pooled_good, pooled_bad)
 good_row = st.lists(pooled_good, min_size=4, max_size=4).map(" ".join)
 any_row = st.lists(pooled_cell, min_size=4, max_size=4).map(" ".join)
 pooled_rows = st.one_of(st.lists(good_row, min_size=4, max_size=4),
-                        st.lists(st.one_of(good_row, any_row), min_size=4, max_size=4))
+                        st.lists(st.one_of(good_row, any_row), min_size=4, max_size=4),
+                        st.lists(st.one_of(good_row, any_row, skipped), min_size=4, max_size=4))
+pooled_rows = st.one_of(pooled_rows, then_skipped(pooled_rows))
 
 
 @given(pooled_rows, pooled_rows)
