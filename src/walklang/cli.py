@@ -151,9 +151,10 @@ def _qinput_blocks(base: str, family: str, eta_points: int) -> Iterator[str]:
 def run_simulate(
     graph_path: Path, coins_path: Path, state_path: Path, steps: int
 ) -> str:
-    graph = PortGraph.from_edge_lines(graph_path.read_text(encoding="utf-8"))
-    coin_set = CoinAssignment.from_text(graph, coins_path.read_text(encoding="utf-8"))
-    state = state_from_text(graph, state_path.read_text(encoding="utf-8"))
+    # a byte that is not UTF-8 reads as a lone surrogate, which every parser refuses by line
+    graph = PortGraph.from_edge_lines(graph_path.read_text("utf-8", "surrogateescape"))
+    coin_set = CoinAssignment.from_text(graph, coins_path.read_text("utf-8", "surrogateescape"))
+    state = state_from_text(graph, state_path.read_text("utf-8", "surrogateescape"))
     final = evolve(state, coin_set, steps)
     probs = all_vertex_probabilities(final)
     return "".join(f"{v} {float(p):.15f}\n" for v, p in enumerate(probs))

@@ -193,14 +193,14 @@ class Program:
     Each port lives in a register, a column of a ``(B, P)`` zero workspace
     that the rows are scattered into, and a permutation move renames them,
     once; the registers are numbered so that the moves end with port p in
-    column p.  A mixing vertex is one ``(d, d) @ (d,)`` gemv per row, written
-    back into its registers, at each step where the inputs reach one of its
-    ports.  A port outside that cone may hold ``+0.0`` where a step-by-step
-    walk holds ``-0.0`` (equal under ``np.array_equal``).  Once the inputs
-    reach every port, the steps left are one stored step, repeated: every
-    mixing gemv on the port columns, then one gather for the moves.  Until
-    then a program keeps one event set per step, so its size grows with
-    ``steps`` as long as the inputs have not reached every port.
+    column p.  A mixing vertex is one ``(d, d) @ (d,)`` gemv per row; a kernel
+    entry is multiplied whole, written back into its registers, at each step
+    where the inputs reach one of its ports.  A port outside that cone may
+    hold ``+0.0`` where a step-by-step walk holds ``-0.0`` (equal under
+    ``np.array_equal``).  Once the inputs reach every port, the steps left
+    are one stored step, repeated: every kernel entry, then one gather for
+    the moves.  Until then a program keeps one event set per step, so its
+    size grows with ``steps`` until the inputs reach every port.
     """
 
     __slots__ = ("_ports", "_inputs", "_events", "_loops", "_steady")
@@ -219,13 +219,9 @@ class Program:
                 loops = steps - t
                 break
             for idx, stack in kernel:
-                keep = reach[idx].any(axis=1).nonzero()[0]
-                if len(keep):
-                    # a run of blocks is a view: a coin alone in its class is never copied
-                    run = len(keep) == keep[-1] + 1 - keep[0]
-                    events.append((reg[idx[keep]], stack[keep[0]:keep[-1] + 1] if run
-                                   else stack[keep]))
-                    reach[idx[keep]] = True
+                if reach[idx].any():
+                    events.append((reg[idx], stack))
+                    reach[idx] = True
             reg, reach = reg[route], reach[route]
         # number the registers once so that port p ends in column p
         column = np.argsort(reg)

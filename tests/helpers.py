@@ -88,6 +88,11 @@ def reference_evolve(state, coins: CoinAssignment, steps: int) -> np.ndarray:
     return amps
 
 
+def events_are_kernel_entries(program, coins: CoinAssignment) -> bool:
+    """Whether every event of a ``walk.Program`` multiplies a kernel entry's own stack."""
+    return all(any(blocks is stack for _, stack in coins._kernel) for _, blocks in program._events)
+
+
 def reference_fidelity(reference, amplitudes: np.ndarray) -> np.ndarray:
     """Fidelity of each row with ``reference``, measured one row at a time.
 

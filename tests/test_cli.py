@@ -453,6 +453,44 @@ def test_simulate_reads_utf8_files_whatever_the_locale(tmp_path):
     assert outputs[0] == outputs[1] == b"0 0.000000000000000\n1 1.000000000000000\n"
 
 
+SIMULATE_FILES = {
+    "graph": b"0 1\n1 2\n",
+    "coins": b"v 0 1\n1,0\nv 1 2\n1,0 0,0\n0,0 1,0\nv 2 1\n1,0\n",
+    "state": b"1,0\n0,0\n0,0\n0,0\n",
+}
+
+
+def simulate_bytes(tmp_path, capsys, files):
+    """``simulate --steps 3`` on the given file bytes: exit code, stdout and stderr."""
+    args = ["simulate", "--steps", "3"]
+    for name, data in files.items():
+        (tmp_path / f"{name}.txt").write_bytes(data)
+        args += [f"--{name}", str(tmp_path / f"{name}.txt")]
+    code = main(args)
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("name,data,message", [
+    ("graph", b"0 1\n1 2\xff\n", r"line 2: vertex ids must be integers, got '1 2\udcff'"),
+    ("coins", b"v 0 1\xff\n1,0\n", r"line 1: bad block header 'v 0 1\udcff'"),
+    ("coins", b"v 0 1\n1,0\nv 1 2\n1\xff,0 0,0\n0,0 1,0\nv 2 1\n1,0\n",
+     r"line 4: bad complex entry '1\udcff,0'"),
+    ("state", b"1,0\n\xff0,0\n0,0\n0,0\n", r"line 2: bad amplitude '\udcff0,0'"),
+], ids=["graph", "coin-header", "coin-cell", "state"])
+def test_simulate_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, name, data,
+                                                            message):
+    code, out, err = simulate_bytes(tmp_path, capsys, {**SIMULATE_FILES, name: data})
+    assert (code, out, err) == (2, "", f"walklang: error: {message}\n")
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_FILES))
+def test_simulate_skips_a_byte_that_is_not_utf8_in_a_comment(tmp_path, capsys, name):
+    clean = simulate_bytes(tmp_path, capsys, SIMULATE_FILES)
+    assert clean[0] == 0 and clean[1].count("\n") == 3
+    commented = {**SIMULATE_FILES, name: b"# \xff\xfe\xc3\n" + SIMULATE_FILES[name]}
+    assert simulate_bytes(tmp_path, capsys, commented) == clean
+
+
 # sha256 of each output as the per-vertex coin loop wrote it; the compiled
 # coin kernel must reproduce them byte for byte
 PINNED_DIGESTS = {

@@ -32,6 +32,7 @@ from helpers import (
     all_words,
     closed_form_acceptance,
     diagonal,
+    events_are_kernel_entries,
     reference_evolve,
     reference_load,
     reference_vertex_probabilities,
@@ -578,6 +579,29 @@ def test_the_kernel_holds_each_class_mixing_rows_in_graph_order():
         assert next(kernel, None) is None
     # the sequential degree-4 class holds n pass-through blocks and one mixer
     assert (False, (1, 4, 4)) in shapes and any(only for only, _ in shapes)
+
+
+def test_each_program_event_multiplies_a_whole_kernel_entry():
+    for machine in layout_machines():
+        assert events_are_kernel_entries(machine._final_walk, machine.coins)
+
+
+@pytest.mark.parametrize("family", ["spatial-eq", "spatial-ab"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_partly_reached_class_is_multiplied_whole(family, n):
+    # the degree-4 class holds the two hubs and the accepting vertex, which the one
+    # event multiplies too, though the inputs reach only the hubs at that step
+    machine = machine_for_length(family, n)
+    ((vs, idx),) = [(vs, idx) for vs, idx in machine.graph.degree_classes() if idx.shape[1] == 4]
+    assert len(vs) == 3 and machine.accepting < set(vs.tolist())
+    ((_, blocks),) = machine._final_walk._events
+    assert [entry for entry, stack in machine.coins._kernel if stack is blocks][0] is idx
+    words = all_words(n)
+    rows = symbols(machine, words)
+    final = np.concatenate(list(final_amplitudes(machine, rows, rows, etas=[1.0])))
+    for word, got in zip(words, final, strict=True):
+        state = initial_state(machine, word)
+        assert np.array_equal(got, reference_evolve(state, machine.coins, machine.steps)), word
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -30,6 +30,7 @@ from walklang.walk import (
 
 from helpers import (
     basis_state,
+    events_are_kernel_entries,
     graph_from_edges,
     haar_unitary,
     hadamard_line_coins,
@@ -298,6 +299,7 @@ def test_a_long_program_keeps_one_register_per_port():
         # the workspace has one register per port, so it is P wide
         assert 0 <= used.min() and used.max() < ports
         assert len(np.unique(program._inputs)) == len(inputs)
+        assert events_are_kernel_entries(program, cs)
         final = program(state.amplitudes[None, inputs])
         assert final.shape == (1, ports)
         assert np.array_equal(final[0], reference_evolve(state, cs, 10_000))
@@ -335,6 +337,9 @@ program_graphs = st.integers(2, 7).flatmap(
 @example((5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 3), 2, 1)  # events only
 @example((5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 0), 14, 1)  # events, then the loop
 @example((3, [(0, 1), (1, 2)], 5), 9, 40)  # every port: the loop only
+# a path whose input port 0 reaches vertex 1 a step before vertex 2, the other phase
+# coin of its two-block class, so the class is multiplied whole while partly reached
+@example((4, [(0, 1), (1, 2), (2, 3)], 27), 6, 1)
 @settings(max_examples=300, deadline=None)
 def test_a_program_numbers_its_registers_so_the_moves_end_on_the_ports(case, steps, size):
     n, edges, seed = case
@@ -345,7 +350,9 @@ def test_a_program_numbers_its_registers_so_the_moves_end_on_the_ports(case, ste
     inputs = rng.permutation(g.num_ports)[:size]  # in any order, every port if size >= P
     rows = rng.normal(size=(3, len(inputs))) + 1j * rng.normal(size=(3, len(inputs)))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    final = Program(cs, steps, inputs)(rows)
+    program = Program(cs, steps, inputs)
+    assert events_are_kernel_entries(program, cs)
+    final = program(rows)
     assert final.shape == (3, g.num_ports) and final.flags.c_contiguous
     for row, got in zip(rows, final):
         amps = np.zeros(g.num_ports, dtype=np.complex128)
